@@ -17,7 +17,6 @@ returned to callers are ordinary 0-based numpy arrays.
 
 from __future__ import annotations
 
-import io
 import math
 import re
 from dataclasses import dataclass, replace
@@ -28,6 +27,7 @@ from scipy.linalg import solve_triangular
 from scipy.signal import lfilter
 
 from .errors import (
+    ConditioningError,
     DecompositionError,
     DimensionError,
     ParameterError,
@@ -696,11 +696,16 @@ def inverse_cholesky(spec: KernelSpec, dim: int) -> BandedFactor:
         kappa = normalization_kappa(base)
         a = _operator_coefficients(base)
         Binv = _trailing_block_inverse_series(base, T)
-        Mf = np.linalg.cholesky(Binv)
-        B = solve_triangular(
-            Mf, solve_triangular(Mf, np.eye(p), lower=True), lower=True, trans="T"
-        )
-        CB = np.linalg.cholesky(B)
+        try:
+            Mf = np.linalg.cholesky(Binv)
+            B = solve_triangular(
+                Mf, solve_triangular(Mf, np.eye(p), lower=True), lower=True, trans="T"
+            )
+            CB = np.linalg.cholesky(B)
+        except np.linalg.LinAlgError as exc:
+            raise ConditioningError(
+                f"trailing {p}x{p} block of {spec.display_name} is numerically indefinite: {exc}"
+            ) from None
         bands = np.zeros((p + 1, T))
         tt = np.arange(1, T - p + 1, dtype=float)
         root = kappa ** -0.5 * b ** (-tt / 2.0)
@@ -780,8 +785,3 @@ def matrix_from_csv(path_or_file) -> np.ndarray:
     data = np.loadtxt(path_or_file, delimiter=",", ndmin=2)
     return data
 
-
-def matrix_to_csv_string(M: np.ndarray) -> str:
-    buf = io.StringIO()
-    matrix_to_csv(M, buf)
-    return buf.getvalue()

@@ -1,12 +1,11 @@
 """Maximum-entropy band extension.
 
 Given the entries of a symmetric matrix within a band ``|t-s| <= m``, the
-band extension problem asks for a positive-definite completion; among all
-completions, the maximum-entropy one maximizes ``log det`` and is the unique
-completion whose inverse is again banded with bandwidth ``m``.  It is built
-entry by entry: each unknown entry is the "one-step" extension of the
-principal submatrix spanning its row/column range, filled outward one
-super-diagonal at a time.
+maximum-entropy (``log det``) positive-definite completion is the unique one
+whose inverse is banded with bandwidth ``m`` (Dym and Gohberg 1981).  Each
+unknown entry is thus a combination of the ``m`` entries below it, weighted
+from its ``(m+1)``-clique: one batched solve over the cliques and one gather
+per diagonal, ``O(T m^3 + T^2 m)`` in all.
 """
 
 from __future__ import annotations
@@ -29,6 +28,11 @@ __all__ = [
 #: Relative eigenvalue tolerance for positive definiteness of sliding blocks;
 #: matches where double-precision Cholesky starts to break down.
 PD_TOL = 1e-12
+
+
+def _band_index(dim: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Indices ``(d, t)`` of band storage that lie inside the matrix."""
+    return np.nonzero(np.arange(dim) < dim - np.arange(m + 1)[:, None])
 
 
 @dataclass(frozen=True)
@@ -57,6 +61,8 @@ class BandSpec:
                 f"band storage must have shape {(self.bandwidth + 1, self.dim)}; "
                 f"got {self.data.shape}"
             )
+        if not np.all(np.isfinite(self.data[_band_index(self.dim, self.bandwidth)])):
+            raise ParameterError("band data must be finite within the band")
         self.data.setflags(write=False)
 
     @classmethod
@@ -65,16 +71,14 @@ class BandSpec:
         M = np.asarray(M, dtype=float)
         if M.ndim != 2 or M.shape[0] != M.shape[1]:
             raise DimensionError(f"expected a square matrix; got shape {M.shape}")
-        T = M.shape[0]
-        m = int(bandwidth)
+        T, m = M.shape[0], int(bandwidth)
         if not 0 <= m < T:
             raise ParameterError(f"bandwidth must satisfy 0 <= m < dim; got {m}")
+        d, t = _band_index(T, m)
+        if not np.allclose(M[t, t + d], M[t + d, t], rtol=1e-12, atol=0, equal_nan=True):
+            raise ParameterError("matrix is not symmetric within the band")
         data = np.zeros((m + 1, T))
-        for d in range(m + 1):
-            diag = np.diag(M, d)
-            if d > 0 and not np.allclose(diag, np.diag(M, -d), rtol=1e-12, atol=0):
-                raise ParameterError("matrix is not symmetric within the band")
-            data[d, : T - d] = diag
+        data[d, t] = M[t, t + d]
         return cls(T, m, data)
 
     def entry(self, t: int, s: int) -> float:
@@ -87,20 +91,15 @@ class BandSpec:
     def to_matrix(self, fill: float = 0.0) -> np.ndarray:
         """Dense symmetric matrix with unknown entries set to ``fill``."""
         M = np.full((self.dim, self.dim), fill)
-        for d in range(self.bandwidth + 1):
-            idx = np.arange(self.dim - d)
-            M[idx, idx + d] = self.data[d, : self.dim - d]
-            M[idx + d, idx] = self.data[d, : self.dim - d]
+        d, t = _band_index(self.dim, self.bandwidth)
+        M[t, t + d] = M[t + d, t] = self.data[d, t]
         return M
 
     # -- serialization: CSV triples (t, s, value), 1-based upper triangle ---
 
     def to_csv(self, path_or_file) -> None:
-        rows = []
-        for d in range(self.bandwidth + 1):
-            for t in range(self.dim - d):
-                rows.append((t + 1, t + 1 + d, self.data[d, t]))
-        arr = np.array(rows, dtype=float)
+        d, t = _band_index(self.dim, self.bandwidth)
+        arr = np.column_stack([t + 1, t + 1 + d, self.data[d, t]])
         np.savetxt(path_or_file, arr, fmt=["%d", "%d", "%.16e"], delimiter=",")
 
     @classmethod
@@ -108,13 +107,11 @@ class BandSpec:
         arr = np.loadtxt(path_or_file, delimiter=",", ndmin=2)
         if arr.shape[1] != 3:
             raise ParameterError("band CSV must have rows (t, s, value)")
-        t = arr[:, 0].astype(int)
-        s = arr[:, 1].astype(int)
-        v = arr[:, 2]
+        t, s = arr[:, :2].astype(int).T
         T = int(max(t.max(), s.max()))
         m = int(np.abs(t - s).max())
         data = np.full((m + 1, T), np.nan)
-        for ti, si, vi in zip(t, s, v):
+        for ti, si, vi in zip(t, s, arr[:, 2]):
             d = abs(ti - si)
             lo = min(ti, si) - 1
             if np.isfinite(data[d, lo]) and data[d, lo] != vi:
@@ -169,6 +166,13 @@ def one_step_extension(partial) -> float:
     return float(-(C[T - 1, 1 : T - 1] @ y[1:]) / y[0])
 
 
+def _cliques(band: BandSpec) -> np.ndarray:
+    """The ``dim - m`` sliding ``(m+1) x (m+1)`` blocks, gathered from band storage."""
+    i = np.arange(band.bandwidth + 1)
+    lag, first = np.abs(i[:, None] - i), np.minimum(i[:, None], i)
+    return band.data[lag, np.arange(band.dim - band.bandwidth)[:, None, None] + first]
+
+
 def check_feasibility(band: BandSpec) -> tuple[bool, int | None]:
     """Positive definiteness of every sliding ``(m+1) x (m+1)`` block.
 
@@ -176,24 +180,18 @@ def check_feasibility(band: BandSpec) -> tuple[bool, int | None]:
     1-based index of the first failing block.  A block passes when its
     smallest eigenvalue exceeds ``PD_TOL`` times its spectral norm.
     """
-    M = band.to_matrix()
-    m = band.bandwidth
-    for t in range(band.dim - m):
-        block = M[t : t + m + 1, t : t + m + 1]
-        eigs = np.linalg.eigvalsh(block)
-        if eigs[0] <= PD_TOL * max(np.abs(eigs[0]), np.abs(eigs[-1])):
-            return False, t + 1
-    return True, None
+    eigs = np.linalg.eigvalsh(_cliques(band))
+    bad = eigs[:, 0] <= PD_TOL * np.maximum(np.abs(eigs[:, 0]), np.abs(eigs[:, -1]))
+    return (False, int(np.argmax(bad)) + 1) if bad.any() else (True, None)
 
 
 def maxent_completion(band: BandSpec) -> CompletionResult:
     """Fill the unknown entries of a band specification by maximum entropy.
 
     Unknown super-diagonals are filled outward (``|t-s| = m+1``, then
-    ``m+2``, ...), left to right within each diagonal; every new entry is the
-    one-step extension of the principal submatrix on its row/column range.
-    The fill order is a determinism convention only: each entry's value does
-    not depend on the order within its diagonal.
+    ``m+2``, ...).  Entry ``(t, t+d)`` is the :func:`one_step_extension` of
+    its window, whose inverse is banded, so it is ``a_t @ M[t+1:t+m+1, t+d]``
+    with ``a_t = -y[1:] / y[0]`` and ``y = C_t^{-1} e_1`` for the clique ``C_t``.
 
     Raises :class:`InfeasibleExtensionError` (carrying the 1-based index of
     the first failing sliding block) when the band data are infeasible.
@@ -205,14 +203,16 @@ def maxent_completion(band: BandSpec) -> CompletionResult:
             "is not positive definite",
             index=first_bad,
         )
-    T = band.dim
-    M = band.to_matrix()
-    for d in range(band.bandwidth + 1, T):
-        for t in range(T - d):
-            window = M[t : t + d + 1, t : t + d + 1]
-            x = one_step_extension(window)
-            M[t, t + d] = x
-            M[t + d, t] = x
+    T, m = band.dim, band.bandwidth
+    y = np.linalg.solve(_cliques(band), np.eye(m + 1)[0])
+    a = -y[:, 1:] / y[:, :1]
+    flat = band.to_matrix().ravel()
+    diag = np.arange(T) * (T + 1)  # flat index of (t, t)
+    below = diag[:, None] + np.arange(1, m + 1) * T  # flat index of (t+1+k, t)
+    for d in range(m + 1, T):
+        x = np.einsum("tk,tk->t", a[: T - d], flat[below[: T - d] + d])
+        flat[diag[: T - d] + d] = flat[diag[: T - d] + d * T] = x
+    M = flat.reshape(T, T)
     sign, entropy = np.linalg.slogdet(M)
     if sign <= 0:
         raise InfeasibleExtensionError("completed matrix is not positive definite")

@@ -65,6 +65,16 @@ def test_kernel_domain_error_exit_1(capsys):
     assert "beta" in capsys.readouterr().err
 
 
+def test_kernel_ill_conditioned_factor_exit_1(capsys):
+    # the order-6 trailing block is not numerically positive definite here
+    code = run_cli("kernel", "--family", "TC6", "--beta", "0.99", "--dim", "50",
+                   "--logdet")
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 def test_kernel_usage_errors_exit_2():
     with pytest.raises(SystemExit) as exc:
         run_cli("kernel", "--family", "TC", "--beta", "0.5")  # no --dim

@@ -120,6 +120,14 @@ def test_completion_reports_first_failure_index():
     with pytest.raises(InfeasibleExtensionError) as exc:
         maxent_completion(band)
     assert exc.value.index == 2
+    # several failing blocks: the first one is reported by both entry points
+    M = build_kernel(KernelSpec.from_name("TC", beta=0.5), 8)
+    M[2, 2] = M[5, 5] = -1.0
+    band = BandSpec.from_matrix(M, 1)
+    assert check_feasibility(band) == (False, 2)
+    with pytest.raises(InfeasibleExtensionError) as exc:
+        maxent_completion(band)
+    assert exc.value.index == 2
 
 
 # ---------------------------------------------------------------------------
@@ -146,6 +154,7 @@ def test_completion_reproduces_dc2(alpha):
         ("TC", dict(beta=0.6)),
         ("DC", dict(beta=0.6, alpha=-0.5)),
         ("HF2", dict(beta=0.7)),
+        ("DI", dict(beta=0.6)),  # m = 0: completes to a diagonal
     ],
 )
 def test_completion_reproduces_banded_families(name, kw):
@@ -162,6 +171,15 @@ def test_completion_reproduces_series_built_kernels(name, kw):
     band, K = kernel_bands(name, 10, **kw)
     res = maxent_completion(band)
     assert np.max(np.abs(res.matrix - K)) < 1e-8
+
+
+def test_completion_reproduces_long_tc3_band():
+    # The one-step loop and the diagonal fill both land near 5e-13 of max|K|
+    # here; inverting the summed clique and separator inverses densely lands
+    # near 2e-10, so this bound tells the routes apart.
+    band, K = kernel_bands("TC3", 100, beta=0.78)
+    res = maxent_completion(band)
+    assert np.max(np.abs(res.matrix - K)) < 1e-11 * np.max(np.abs(K))
 
 
 def test_complete_spec_returned_unchanged():
@@ -195,14 +213,16 @@ def test_completed_inverse_is_banded():
 
 
 def test_each_filled_entry_is_one_step_of_its_window():
-    band, _ = kernel_bands("DC2", 7, beta=0.75, alpha=0.4)
-    res = maxent_completion(band)
-    M = res.matrix
-    for d in range(band.bandwidth + 1, 7):
-        for t in range(7 - d):
-            window = M[t : t + d + 1, t : t + d + 1].copy()
-            window[0, -1] = window[-1, 0] = 0.0
-            assert one_step_extension(window) == pytest.approx(M[t, t + d], rel=1e-12)
+    for name, T, kw in [("DC2", 7, dict(beta=0.75, alpha=0.4)),
+                        ("TC3", 12, dict(beta=0.8)),
+                        ("DC", 20, dict(beta=0.6, alpha=-0.5))]:
+        band, _ = kernel_bands(name, T, **kw)
+        M = maxent_completion(band).matrix
+        for d in range(band.bandwidth + 1, T):
+            for t in range(T - d):
+                window = M[t : t + d + 1, t : t + d + 1].copy()
+                window[0, -1] = window[-1, 0] = 0.0
+                assert one_step_extension(window) == pytest.approx(M[t, t + d], rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -256,6 +276,19 @@ def test_band_spec_validation():
         BandSpec(4, 4, np.zeros((5, 4)))
     with pytest.raises(DimensionError):
         BandSpec(4, 1, np.zeros((3, 4)))
+    for bad in (np.nan, np.inf, -np.inf):
+        for d, t in [(0, 5), (2, 1)]:  # a diagonal entry, an outer band entry
+            data = np.ones((3, 6))
+            data[d, t] = bad
+            with pytest.raises(ParameterError, match="finite"):
+                BandSpec(6, 2, data)
+        M = np.eye(6)
+        M[1, 3] = M[3, 1] = bad
+        with pytest.raises(ParameterError, match="finite"):
+            BandSpec.from_matrix(M, 2)
+        data = np.ones((3, 6))
+        data[2, 4:] = bad  # past dim - d: ignored
+        assert np.all(np.isfinite(BandSpec(6, 2, data).to_matrix()))
     asym = np.eye(3)
     asym[0, 1] = 0.5
     with pytest.raises(ParameterError):
