@@ -11,6 +11,15 @@ FIR impulse-response estimation and exposes their structural decompositions:
 * high-frequency mirrors ``HFd``/``HCd`` obtained by the alternating-sign
   similarity ``S K S`` with ``S = diag(1, -1, 1, ...)``.
 
+The kernels are exponentially convex, ``K[t+1, s+1] = beta * K[t, s]``, so a
+series kernel is built from its certified first row alone:
+``K[t, s] = beta**(min(t, s) - 1) * K[1, 1 + |t - s|]``.  The row costs
+O(n T) time and O(n + T) memory for a truncation after ``n`` terms; each
+entry carries a rigorous geometric tail bound at ``_SERIES_TOL``.  Every
+series (first row, leading variance, trailing block) starts at the length
+where a geometric tail would certify and doubles at most ``_MAX_DOUBLINGS``
+times; a series that still does not certify raises ``ConditioningError``.
+
 Entries use the 1-based convention ``K[t, s]`` for ``t, s = 1..T``; arrays
 returned to callers are ordinary 0-based numpy arrays.
 """
@@ -61,6 +70,10 @@ _NAME_RE = re.compile(r"^(DI|SS|TC|DC|HF|HC)([0-9]+)?$")
 # Relative tail mass permitted when truncating the series evaluation of
 # arbitrary-order kernels.
 _SERIES_TOL = 1e-13
+
+# Times a series' truncation length may double past its geometric start
+# before the series is declared uncertifiable.
+_MAX_DOUBLINGS = 6
 
 
 @dataclass(frozen=True)
@@ -308,7 +321,10 @@ def toeplitz_inverse(a, n: int) -> np.ndarray:
 
 
 def _binomial_sequence(delta: int, n: int) -> np.ndarray:
-    """``x_j = C(j + delta - 2, delta - 1)``: coefficients of ``F**-delta``."""
+    """``x_j = C(j + delta - 2, delta - 1)``: coefficients of ``F**-delta``
+    (the unit impulse for ``delta = 0``)."""
+    if delta == 0:
+        return np.r_[1.0, np.zeros(n - 1)]
     j = np.arange(1, n + 1, dtype=float)
     out = np.ones(n)
     for i in range(1, delta):
@@ -342,16 +358,45 @@ def _operator_coefficients(spec: KernelSpec) -> np.ndarray:
 
 
 def _inverse_series(spec: KernelSpec, n: int) -> np.ndarray:
-    """Coefficients of the inverse operator, closed form where available."""
+    """First ``n`` coefficients of the inverse operator.
+
+    The DC-type operator is ``(1 - x)**(delta - 1) * (1 - alpha x)``, so its
+    inverse is a geometric filter over binomial coefficients: every term
+    carries the sign of ``alpha**j`` and nothing cancels.
+    """
     base = spec.base()
     if base.family in ("TC", "TCd"):
         delta = 1 if base.family == "TC" else base.delta
         return _binomial_sequence(delta, n)
-    return toeplitz_inverse(_operator_coefficients(spec), n)
+    delta = 1 if base.family == "DC" else base.delta
+    return lfilter([1.0], [1.0, -base.alpha], _binomial_sequence(delta - 1, n))
 
 
 def _tail_extra(beta: float) -> int:
-    return max(4, int(np.ceil(np.log(_SERIES_TOL * (1.0 - beta)) / np.log(beta))))
+    """Start length: where the geometric tail ``beta**n / (1 - beta)`` falls
+    below ``_SERIES_TOL``, or below the smallest normal double if that comes
+    first (past it every weight ``beta**n`` has underflowed)."""
+    tol = max(_SERIES_TOL * (1.0 - beta), np.finfo(float).tiny)
+    return max(4, int(np.ceil(np.log(tol) / np.log(beta))))
+
+
+def _certified(beta: float, attempt, what: str):
+    """First result of ``attempt(n)`` that is not ``None``, over the lengths
+    ``n = _tail_extra(beta) * 2**k`` for ``k = 0 .. _MAX_DOUBLINGS``.
+
+    ``attempt`` returns ``None`` when its tail certificate fails at ``n``;
+    a series that fails at every length raises ``ConditioningError``.
+    """
+    n = _tail_extra(beta)
+    for _ in range(_MAX_DOUBLINGS + 1):
+        out = attempt(n)
+        if out is not None:
+            return out
+        n *= 2
+    raise ConditioningError(
+        f"{what} does not certify to relative tail {_SERIES_TOL:g} within "
+        f"{n // 2} terms at beta={beta}"
+    )
 
 
 def normalization_kappa(spec: KernelSpec) -> float:
@@ -395,27 +440,50 @@ def _order2_entries(T: int, beta: float, alpha: float) -> np.ndarray:
     return beta ** mx.astype(float) * vals
 
 
-def _series_kernel(T: int, beta: float, spec: KernelSpec, kappa: float) -> np.ndarray:
-    """Truncated series ``K[t,s] = kappa * sum_k beta^k x_{k-t+1} x_{k-s+1}``
-    with a geometric tail certificate; the truncation point is grown until
-    the certified relative tail is below ``_SERIES_TOL``."""
-    extra = _tail_extra(beta)
-    while True:
-        kmax = T + extra
-        z = _inverse_series(spec, kmax + 2)
-        X = np.zeros((kmax, T))
-        for t in range(T):
-            X[t:, t] = z[: kmax - t]
-        w = beta ** np.arange(1, kmax + 1, dtype=float)
-        K = kappa * (X.T * w) @ X
-        # certificate at the worst entry (T, T): ratio bound on neglected terms
-        r = z[kmax - T + 2] / z[kmax - T + 1]
-        rho = beta * r * r
-        if rho < 1.0:
-            first_neglected = kappa * beta ** (kmax + 1) * z[kmax - T + 1] ** 2
-            if first_neglected / (1.0 - rho) <= _SERIES_TOL * K[T - 1, T - 1]:
-                return K
-        extra *= 2
+def _first_row(spec: KernelSpec, T: int) -> np.ndarray:
+    """Certified first row ``r[d] = K[1, 1 + d]``, ``d = 0 .. T-1``, of a
+    series kernel:
+
+        r[d] = kappa * beta^(d+1) * sum_j beta^j z_j z_{j+d},
+
+    with ``z`` the inverse series, in O(n T) time and O(n + T) memory for a
+    truncation after ``n`` terms.  Every ``|z_{j+1} / z_j|`` is at most
+    ``q = |z_{n+1} / z_n|`` for ``j >= n``: ``|z|`` is log-concave (binomial
+    coefficients, alone or convolved with ``|alpha|**j``), so its ratios do
+    not increase.  Hence the neglected tail of entry ``d`` is at most
+    ``beta^(n+1) |z_n| |z_{n+d}| / (1 - beta q^2)`` in units of
+    ``kappa * beta^d``; each entry must certify to ``_SERIES_TOL``.
+    """
+    beta = spec.beta
+    kappa = normalization_kappa(spec)
+
+    def attempt(n):
+        z = _inverse_series(spec, n + max(T, 2))
+        zt = np.abs(z[n:])  # |z_n|, |z_{n+1}|, ...
+        q = zt[1] / zt[0]
+        rho = beta * q * q
+        if not rho < 1.0:
+            return None
+        w = beta ** np.arange(1, n + 1, dtype=float)
+        s = np.empty(T)
+        s[0] = np.dot(w, z[:n] ** 2)
+        if T > 1:
+            s[1:] = np.correlate(z[1 : n + T - 1], w * z[:n], "valid")
+        tail = beta ** (n + 1) * (zt[0] * zt[:T]) / (1.0 - rho)
+        if not (tail < _SERIES_TOL * np.abs(s)).all():
+            return None
+        return kappa * beta ** np.arange(T, dtype=float) * s
+
+    return _certified(beta, attempt, f"first row of {spec.display_name}")
+
+
+def _series_kernel(spec: KernelSpec, T: int) -> np.ndarray:
+    """``K[t, s] = beta^(min(t, s) - 1) * r[|t - s|]`` from the certified
+    first row ``r``: the kernel is exponentially convex, ``K[t+1, s+1] =
+    beta * K[t, s]``."""
+    t = np.arange(T)
+    d = np.abs(np.subtract.outer(t, t))
+    return spec.beta ** np.minimum.outer(t, t).astype(float) * _first_row(spec, T)[d]
 
 
 def build_kernel(spec: KernelSpec, dim: int) -> np.ndarray:
@@ -451,7 +519,7 @@ def build_kernel(spec: KernelSpec, dim: int) -> np.ndarray:
     elif fam == "DCd" and base.delta == 2:
         K = _order2_entries(T, b, base.alpha)
     else:
-        K = _series_kernel(T, b, base, normalization_kappa(base))
+        K = _series_kernel(base, T)
 
     if spec.sign_flipped:
         K = np.where(d % 2 == 1, -K, K)
@@ -476,9 +544,9 @@ def _trailing_block_inverse_series(spec: KernelSpec, T: int) -> np.ndarray:
     beta = base.beta
     a = _operator_coefficients(base)
     p = len(a) - 1
-    extra = _tail_extra(beta)
-    while True:
-        n = extra
+    lead = np.diag(beta ** np.arange(T - p + 1, T + 1, dtype=float))
+
+    def attempt(n):
         z = np.r_[np.zeros(p), _inverse_series(base, n + p)]
         V = np.zeros((n, p))
         i = np.arange(1, n + 1)
@@ -489,15 +557,15 @@ def _trailing_block_inverse_series(spec: KernelSpec, T: int) -> np.ndarray:
                 V[:, idx] -= a[m] * z[p + shift - 1 + i]
         wts = beta ** np.arange(1, n + 1, dtype=float)
         G = (V.T * wts) @ V
-        Binv = np.diag(beta ** np.arange(T - p + 1, T + 1, dtype=float))
-        Binv += beta ** float(T) * G
         r = z[-1] / z[-2]
         rho = beta * r * r
         if rho < 1.0 and beta ** (n + 1) * z[-1] ** 2 / (1.0 - rho) < _SERIES_TOL * max(
             G.max(), 1.0
         ):
-            return Binv
-        extra *= 2
+            return lead + beta ** float(T) * G
+        return None
+
+    return _certified(beta, attempt, f"trailing block of {spec.display_name}")
 
 
 def _trailing_block(spec: KernelSpec, T: int) -> np.ndarray:
@@ -759,17 +827,8 @@ def leading_variance(spec: KernelSpec) -> float:
         return float(b * (1.0 + b))
     if fam == "DCd" and base.delta == 2:
         return float(b * (1.0 + base.alpha * b))
-    # series: K11 = kappa * sum_k beta^k x_k^2 with geometric tail certificate
-    extra = _tail_extra(b)
-    while True:
-        z = _inverse_series(base, extra + 2)
-        w = b ** np.arange(1, extra + 1, dtype=float)
-        val = float(np.dot(w, z[:extra] ** 2))
-        r = z[extra + 1] / z[extra]
-        rho = b * r * r
-        if rho < 1.0 and b ** (extra + 1) * z[extra] ** 2 / (1.0 - rho) < _SERIES_TOL * val:
-            return val
-        extra *= 2
+    # series: K[1, 1] is the first entry of the certified first row
+    return float(_first_row(base, 1)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Spectral analysis of the kernel families.
 
-Every family factors (exactly, for the closed forms; to series tolerance for
-the higher orders) as an exponential envelope times a stationary kernel:
+Every family factors exactly as an exponential envelope times a stationary
+kernel (the series families are built from their first row that way):
 
     K[t, s] = env**((t + s) / 2) * w(|t - s|),   env = beta (gamma**3 for SS).
 
@@ -33,9 +33,8 @@ __all__ = [
 #: autocovariance decays geometrically, so the series tail is negligible here.
 SPECTRAL_T = 200
 
-#: Stationarity spread tolerances (relative to the autocovariance scale).
+#: Stationarity spread tolerance (relative to the autocovariance scale).
 SPREAD_TOL_CLOSED = 1e-10
-SPREAD_TOL_SERIES = 1e-7
 
 
 @dataclass(frozen=True)
@@ -138,11 +137,9 @@ def stationary_part(spec: KernelSpec, T: int = SPECTRAL_T,
         spreads[tau] = vals.max() - vals.min()
         scale = max(scale, np.max(np.abs(vals)))
     spread = float(np.max(spreads) / scale)
-    bw = spec.bandwidth
-    tol = SPREAD_TOL_CLOSED if (bw is None or bw <= 2) else SPREAD_TOL_SERIES
-    if spread > tol:
+    if spread > SPREAD_TOL_CLOSED:
         raise DecompositionError(
-            f"rescaled kernel is not stationary (spread {spread:.3e} > {tol:.0e}); "
+            f"rescaled kernel is not stationary (spread {spread:.3e} > {SPREAD_TOL_CLOSED:.0e}); "
             "the envelope does not match the family"
         )
     return StationaryKernel(w, spec=spec, spread=spread)

@@ -1,11 +1,17 @@
 """End-to-end tests of the command-line interface."""
 
+import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import stablekern
 from stablekern.cli import main
 from stablekern.estimator import Dataset
 from stablekern.kernels import KernelSpec, build_kernel, matrix_from_csv
@@ -73,6 +79,23 @@ def test_kernel_ill_conditioned_factor_exit_1(capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("error:") and "Traceback" not in captured.err
     assert captured.out == ""
+
+
+def test_kernel_dc6_near_unit_decay_is_bounded():
+    # the series of DC6 at beta = 0.999 certifies within its doubling cap;
+    # its trailing block factor is refused with an error, not a traceback
+    src = str(Path(stablekern.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    argv = [sys.executable, "-m", "stablekern.cli", "kernel", "--family", "DC6",
+            "--beta", "0.999", "--alpha", "0.5", "--dim", "50"]
+    done = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    K = np.loadtxt(io.StringIO(done.stdout), delimiter=",")
+    assert K.shape == (50, 50) and np.all(np.isfinite(K))
+    done = subprocess.run(argv + ["--cholesky"], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert done.returncode == 1
+    assert done.stderr.startswith("error:") and "Traceback" not in done.stderr
 
 
 def test_kernel_usage_errors_exit_2():

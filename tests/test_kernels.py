@@ -6,12 +6,15 @@ matrices, and the truncated-series route for the graded families.
 """
 
 import io
+import math
 
 import numpy as np
 import pytest
 from scipy.linalg import cholesky as dense_cholesky
 
+from stablekern import kernels
 from stablekern.errors import (
+    ConditioningError,
     DecompositionError,
     DimensionError,
     ParameterError,
@@ -230,6 +233,7 @@ def test_banded_factor_storage_layout():
         spec("TC2", beta=0.7),
         spec("DC2", beta=0.6, alpha=0.45),
         spec("DC", beta=0.6, alpha=0.45),
+        spec("DC", beta=0.6, alpha=-0.45),
     ],
     ids=lambda s: s.to_kv(),
 )
@@ -237,7 +241,7 @@ def test_series_route_reproduces_closed_forms(sp):
     base = sp.base()
     T = 8
     K_closed = build_kernel(sp, T)
-    K_series = _series_kernel(T, base.beta, base, normalization_kappa(base))
+    K_series = _series_kernel(base, T)
     assert maxrel(K_series, K_closed) < 1e-12
 
 
@@ -281,6 +285,78 @@ def test_leading_variance_matches_corner_entry():
     for sp in CASES:
         want = build_kernel(sp, 1)[0, 0] if (sp.bandwidth or 0) <= 2 else build_kernel(sp, sp.bandwidth + 2)[0, 0]
         assert leading_variance(sp) == pytest.approx(want, rel=1e-11), sp
+
+
+def _mpmath_first_row(sp, T):
+    """``K[1, 1..T]`` of a series kernel to ~20 digits: the inverse series
+    comes from the recursion of the operator polynomial itself (``(1-x)^d``,
+    or the DC mixture ``(1-a)(1-x)^(d-1) + a(1-x)^d``), evaluated in
+    40-digit arithmetic and summed until the terms are 1e-24 of the total."""
+    mp = pytest.importorskip("mpmath")
+    base = sp.base()
+    delta = base.delta
+    with mp.workdps(40):
+        b = mp.mpf(base.beta)
+        hi = [mp.mpf((-1) ** j * math.comb(delta, j)) for j in range(delta + 1)]
+        if base.family == "TCd":
+            a = hi
+        else:
+            al = mp.mpf(base.alpha)
+            lo = [mp.mpf((-1) ** j * math.comb(delta - 1, j)) for j in range(delta)] + [0]
+            a = [(1 - al) * l + al * h for l, h in zip(lo, hi)]
+        z, sums = [], [mp.mpf(0)] * T
+        j = 0
+        while True:
+            while len(z) < j + T:
+                m = len(z)
+                acc = (1 if m == 0 else 0) - sum(a[i] * z[m - i] for i in range(1, min(delta, m) + 1))
+                z.append(acc / a[0])
+            bj = b ** (j + 1)
+            for d in range(T):
+                sums[d] += bj * z[j] * z[j + d]
+            if j > 2 * delta / (1 - base.beta) and bj * z[j] ** 2 < mp.mpf(10) ** -24 * sums[0]:
+                break
+            j += 1
+        return [float(normalization_kappa(base) * b ** d * sd) for d, sd in enumerate(sums)]
+
+
+@pytest.mark.parametrize("beta", [0.9, 0.99])
+@pytest.mark.parametrize(
+    "sp_of", [lambda b: spec("TC3", beta=b), lambda b: spec("TC6", beta=b),
+              lambda b: spec("DC6", beta=b, alpha=0.5)],
+    ids=["TC3", "TC6", "DC6"],
+)
+def test_series_first_row_matches_mpmath(sp_of, beta):
+    sp = sp_of(beta)
+    T = 6
+    want = np.array(_mpmath_first_row(sp, T))
+    np.testing.assert_allclose(build_kernel(sp, T)[0], want, rtol=1e-13, atol=0)
+    assert leading_variance(sp) == pytest.approx(want[0], rel=1e-13)
+
+
+@pytest.mark.parametrize(
+    "sp",
+    [spec("TC3", beta=0.9), spec("DC3", beta=0.95, alpha=0.3),
+     spec("TC6", beta=0.8), spec("HC3", beta=0.9, alpha=0.6)],
+    ids=lambda s: s.to_kv(),
+)
+def test_series_kernel_shift_identity(sp):
+    # exponential convexity: K[t+1, s+1] = beta * K[t, s]
+    K = build_kernel(sp, 40)
+    np.testing.assert_allclose(K[1:, 1:], sp.beta * K[:-1, :-1], rtol=1e-14, atol=0)
+
+
+def test_series_loops_are_bounded(monkeypatch):
+    # a zero tolerance never certifies: every series loop must give up
+    # after its fixed number of doublings instead of growing without end
+    monkeypatch.setattr(kernels, "_SERIES_TOL", 0.0)
+    sp = spec("TC3", beta=0.9)
+    with pytest.raises(ConditioningError, match="does not certify"):
+        build_kernel(sp, 10)
+    with pytest.raises(ConditioningError, match="does not certify"):
+        leading_variance.__wrapped__(sp)
+    with pytest.raises(ConditioningError, match="does not certify"):
+        inverse_cholesky(sp, 10)
 
 
 # ---------------------------------------------------------------------------

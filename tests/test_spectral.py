@@ -14,7 +14,6 @@ from stablekern.kernels import KernelSpec
 from stablekern.spectral import (
     PSD,
     SPREAD_TOL_CLOSED,
-    SPREAD_TOL_SERIES,
     StationaryKernel,
     low_frequency_mass,
     psd,
@@ -82,9 +81,9 @@ def test_spread_certificate_closed_forms(sp):
 @pytest.mark.parametrize("delta", [3, 4, 5, 6])
 def test_spread_certificate_series_families(delta):
     sk = stationary_part(spec(f"TC{delta}", beta=0.8), T=120)
-    assert sk.spread < SPREAD_TOL_SERIES
+    assert sk.spread < SPREAD_TOL_CLOSED
     skd = stationary_part(spec(f"DC{delta}", beta=0.8, alpha=0.5), T=120)
-    assert skd.spread < SPREAD_TOL_SERIES
+    assert skd.spread < SPREAD_TOL_CLOSED
 
 
 def test_wrong_envelope_raises():
