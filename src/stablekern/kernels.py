@@ -17,8 +17,9 @@ series kernel is built from its certified first row alone:
 O(n T) time and O(n + T) memory for a truncation after ``n`` terms; each
 entry carries a rigorous geometric tail bound at ``_SERIES_TOL``.  Every
 series (first row, leading variance, trailing block) starts at the length
-where a geometric tail would certify and doubles at most ``_MAX_DOUBLINGS``
-times; a series that still does not certify raises ``ConditioningError``.
+where the tail of ``beta**j`` times the binomial growth of the inverse
+series would certify, and doubles at most ``_MAX_DOUBLINGS`` times; a series
+that still does not certify raises ``ConditioningError``.
 
 Entries use the 1-based convention ``K[t, s]`` for ``t, s = 1..T``; arrays
 returned to callers are ordinary 0-based numpy arrays.
@@ -32,8 +33,10 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from numpy.lib.stride_tricks import sliding_window_view
+from scipy.linalg.lapack import dpotrf, dtrtri
 from scipy.signal import lfilter
+from scipy.special import gammainccinv
 
 from .errors import (
     ConditioningError,
@@ -274,16 +277,29 @@ class BandedFactor:
     def __post_init__(self):
         self.bands.setflags(write=False)
 
+    def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(row, col, values)`` of every stored entry ``L[row, col]``."""
+        flat, row, col = _band_index(self.dim, self.bandwidth)
+        return row, col, self.bands.ravel()[flat]
+
     def to_dense(self) -> np.ndarray:
+        row, col, values = self.entries()
         L = np.zeros((self.dim, self.dim))
-        for d in range(self.bandwidth + 1):
-            idx = np.arange(self.dim - d)
-            L[idx + d, idx] = self.bands[d, : self.dim - d]
+        L[row, col] = values
         return L
 
     @property
     def diagonal(self) -> np.ndarray:
         return self.bands[0]
+
+
+@lru_cache(maxsize=64)
+def _band_index(T: int, bandwidth: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(flat, row, col)``: ``bands.ravel()[flat]`` holds ``L[row, col]``
+    for every in-range entry of bands ``0 .. bandwidth`` of a ``T x T``
+    factor (``row = col + d``, ``col < T - d``)."""
+    d, col = np.nonzero(np.arange(T) < T - np.arange(bandwidth + 1)[:, None])
+    return d * T + col, col + d, col
 
 
 # ---------------------------------------------------------------------------
@@ -324,12 +340,12 @@ def _binomial_sequence(delta: int, n: int) -> np.ndarray:
     """``x_j = C(j + delta - 2, delta - 1)``: coefficients of ``F**-delta``
     (the unit impulse for ``delta = 0``)."""
     if delta == 0:
-        return np.r_[1.0, np.zeros(n - 1)]
+        out = np.zeros(n)
+        out[0] = 1.0
+        return out
     j = np.arange(1, n + 1, dtype=float)
-    out = np.ones(n)
-    for i in range(1, delta):
-        out *= (j + i - 1) / i
-    return out
+    i = np.arange(1, delta, dtype=float)
+    return np.prod((j[:, None] + (i - 1.0)) / i, axis=1)
 
 
 def _operator_coefficients(spec: KernelSpec) -> np.ndarray:
@@ -345,13 +361,10 @@ def _operator_coefficients(spec: KernelSpec) -> np.ndarray:
         return np.array([1.0, -base.alpha])
     if base.family == "DCd":
         delta, alpha = base.delta, base.alpha
-        lo = np.array(
-            [(-1) ** j * math.comb(delta - 1, j) for j in range(delta)], dtype=float
+        return np.array(
+            [(-1) ** j * ((1.0 - alpha) * math.comb(delta - 1, j) + alpha * math.comb(delta, j))
+             for j in range(delta + 1)]
         )
-        hi = np.array(
-            [(-1) ** j * math.comb(delta, j) for j in range(delta + 1)], dtype=float
-        )
-        return (1.0 - alpha) * np.r_[lo, 0.0] + alpha * hi
     raise DecompositionError(
         f"family {spec.family} has no banded Toeplitz-operator decomposition"
     )
@@ -372,22 +385,29 @@ def _inverse_series(spec: KernelSpec, n: int) -> np.ndarray:
     return lfilter([1.0], [1.0, -base.alpha], _binomial_sequence(delta - 1, n))
 
 
-def _tail_extra(beta: float) -> int:
-    """Start length: where the geometric tail ``beta**n / (1 - beta)`` falls
-    below ``_SERIES_TOL``, or below the smallest normal double if that comes
-    first (past it every weight ``beta**n`` has underflowed)."""
-    tol = max(_SERIES_TOL * (1.0 - beta), np.finfo(float).tiny)
-    return max(4, int(np.ceil(np.log(tol) / np.log(beta))))
+def _start_length(spec: KernelSpec) -> int:
+    """Start length of the series of an order-``p`` kernel.
+
+    The inverse series grows like the binomial ``j**(p - 1)``, so the sums
+    ``sum_j beta**j z_j z_{j+d}`` weigh ``j`` like ``j**(2p - 2) * exp(-j c)``,
+    ``c = -log(beta)``: a Gamma(2p - 1) density.  The start is where its upper
+    tail ``Q(2p - 1, n c)`` falls below ``_SERIES_TOL / 16`` (the slack
+    covers the geometric bound the certificates put on the tail), or below
+    the smallest normal double if that comes first.
+    """
+    tol = max(_SERIES_TOL / 16.0, np.finfo(float).tiny)
+    x = gammainccinv(2 * spec.bandwidth - 1, tol)
+    return max(4, math.ceil(x / -math.log(spec.beta)))
 
 
-def _certified(beta: float, attempt, what: str):
+def _certified(spec: KernelSpec, attempt, what: str):
     """First result of ``attempt(n)`` that is not ``None``, over the lengths
-    ``n = _tail_extra(beta) * 2**k`` for ``k = 0 .. _MAX_DOUBLINGS``.
+    ``n = _start_length(spec) * 2**k`` for ``k = 0 .. _MAX_DOUBLINGS``.
 
     ``attempt`` returns ``None`` when its tail certificate fails at ``n``;
     a series that fails at every length raises ``ConditioningError``.
     """
-    n = _tail_extra(beta)
+    n = _start_length(spec)
     for _ in range(_MAX_DOUBLINGS + 1):
         out = attempt(n)
         if out is not None:
@@ -395,7 +415,7 @@ def _certified(beta: float, attempt, what: str):
         n *= 2
     raise ConditioningError(
         f"{what} does not certify to relative tail {_SERIES_TOL:g} within "
-        f"{n // 2} terms at beta={beta}"
+        f"{n // 2} terms at beta={spec.beta}"
     )
 
 
@@ -427,17 +447,32 @@ def normalization_kappa(spec: KernelSpec) -> float:
 # Kernel entries
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=64)
+def _grid(T: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only integer ``max(t, s)``, ``min(t, s)`` and ``|t - s|`` over
+    ``t, s = 1 .. T``.  Entries are gathered through them from vectors of
+    powers, one ``pow`` per exponent instead of one per entry."""
+    t = np.arange(1, T + 1)
+    grids = (np.maximum.outer(t, t), np.minimum.outer(t, t), np.abs(np.subtract.outer(t, t)))
+    for g in grids:
+        g.setflags(write=False)
+    return grids
+
+
+def _powers(x: float, n: int) -> np.ndarray:
+    """``x ** k`` for ``k = 0 .. n``."""
+    return x ** np.arange(n + 1, dtype=float)
+
+
 def _order2_entries(T: int, beta: float, alpha: float) -> np.ndarray:
     """DC2 entries in the cumulative-geometric form, stable on all of
     ``0 <= alpha <= 1`` (``alpha = 1`` reproduces TC2 exactly)."""
-    t = np.arange(1, T + 1)
-    mx = np.maximum.outer(t, t)
-    d = np.abs(np.subtract.outer(t, t))
-    S = np.cumsum(alpha ** np.arange(T, dtype=float))  # S[d] = sum_{j<=d} alpha^j
-    Spad = np.r_[0.0, 0.0, S]  # Spad[d] = S[d-2], zero for d < 2
+    mx, _, d = _grid(T)
+    S = np.cumsum(_powers(alpha, T - 1))  # S[d] = sum_{j<=d} alpha^j
+    Spad = np.concatenate(([0.0, 0.0], S))  # Spad[d] = S[d-2], zero for d < 2
     vals = S[d] - beta * alpha * alpha * Spad[d]
     np.fill_diagonal(vals, 1.0 + alpha * beta)
-    return beta ** mx.astype(float) * vals
+    return _powers(beta, T)[mx] * vals
 
 
 def _first_row(spec: KernelSpec, T: int) -> np.ndarray:
@@ -474,16 +509,15 @@ def _first_row(spec: KernelSpec, T: int) -> np.ndarray:
             return None
         return kappa * beta ** np.arange(T, dtype=float) * s
 
-    return _certified(beta, attempt, f"first row of {spec.display_name}")
+    return _certified(spec, attempt, f"first row of {spec.display_name}")
 
 
 def _series_kernel(spec: KernelSpec, T: int) -> np.ndarray:
     """``K[t, s] = beta^(min(t, s) - 1) * r[|t - s|]`` from the certified
     first row ``r``: the kernel is exponentially convex, ``K[t+1, s+1] =
     beta * K[t, s]``."""
-    t = np.arange(T)
-    d = np.abs(np.subtract.outer(t, t))
-    return spec.beta ** np.minimum.outer(t, t).astype(float) * _first_row(spec, T)[d]
+    _, mn, d = _grid(T)
+    return _powers(spec.beta, T - 1)[mn - 1] * _first_row(spec, T)[d]
 
 
 def build_kernel(spec: KernelSpec, dim: int) -> np.ndarray:
@@ -498,24 +532,23 @@ def build_kernel(spec: KernelSpec, dim: int) -> np.ndarray:
     if T < 1:
         raise DimensionError(f"kernel dimension must be >= 1; got {dim}")
     base = spec.base()
-    t = np.arange(1, T + 1)
-    mx = np.maximum.outer(t, t).astype(float)
-    d = np.abs(np.subtract.outer(t, t))
+    mx, mn, d = _grid(T)
 
     fam = base.family
     b = base.beta
     if fam == "DI":
-        K = np.diag(b ** t.astype(float))
+        K = np.diag(_powers(b, T)[1:])
     elif fam == "TC" or (fam == "TCd" and base.delta == 1):
-        K = b ** mx
+        K = _powers(b, T)[mx]
     elif fam == "DC" or (fam == "DCd" and base.delta == 1):
-        K = base.alpha ** d * b ** mx
+        K = _powers(base.alpha, T - 1)[d] * _powers(b, T)[mx]
     elif fam == "SS":
         g = base.gamma
-        ts = np.add.outer(t, t).astype(float)
-        K = g ** ts * g ** mx / 2.0 - g ** (3.0 * mx) / 6.0
+        gp = _powers(g, 2 * T)
+        K = gp[mx + mn] * gp[mx] / 2.0 - (g ** (3.0 * np.arange(T + 1)))[mx] / 6.0
     elif fam == "TCd" and base.delta == 2:
-        K = 2.0 * b ** (mx + 1) + (1.0 - b) * (1.0 + d) * b ** mx
+        bp = _powers(b, T + 1)
+        K = 2.0 * bp[mx + 1] + (1.0 - b) * (1.0 + d) * bp[mx]
     elif fam == "DCd" and base.delta == 2:
         K = _order2_entries(T, b, base.alpha)
     else:
@@ -545,16 +578,15 @@ def _trailing_block_inverse_series(spec: KernelSpec, T: int) -> np.ndarray:
     a = _operator_coefficients(base)
     p = len(a) - 1
     lead = np.diag(beta ** np.arange(T - p + 1, T + 1, dtype=float))
+    # -v_i[c] = sum_{k <= c} a[p - c + k] z_{i-1-k}: the windows
+    # (z_{i-p}, .., z_{i-1}) times the Hankel matrix H[j, c] = a[2p-1-j-c]
+    # (zero past a[p]), with z_j = 0 for j < 0; the sign cancels in G
+    k = np.arange(p)
+    H = np.concatenate((a, np.zeros(p)))[2 * p - 1 - np.add.outer(k, k)]
 
     def attempt(n):
-        z = np.r_[np.zeros(p), _inverse_series(base, n + p)]
-        V = np.zeros((n, p))
-        i = np.arange(1, n + 1)
-        for idx in range(p):
-            acol = idx + 1
-            for m in range(p - acol + 1, p + 1):
-                shift = p - acol - m + 1
-                V[:, idx] -= a[m] * z[p + shift - 1 + i]
+        z = np.concatenate((np.zeros(p), _inverse_series(base, n + p)))
+        V = sliding_window_view(z[1 : n + p], p) @ H
         wts = beta ** np.arange(1, n + 1, dtype=float)
         G = (V.T * wts) @ V
         r = z[-1] / z[-2]
@@ -565,7 +597,7 @@ def _trailing_block_inverse_series(spec: KernelSpec, T: int) -> np.ndarray:
             return lead + beta ** float(T) * G
         return None
 
-    return _certified(beta, attempt, f"trailing block of {spec.display_name}")
+    return _certified(base, attempt, f"trailing block of {spec.display_name}")
 
 
 def _trailing_block(spec: KernelSpec, T: int) -> np.ndarray:
@@ -695,7 +727,6 @@ def _dense_chol_of_inverse(K: np.ndarray) -> np.ndarray:
     triangular.  A diagonal equilibration keeps the factorization of the
     strongly graded kernels accurate.
     """
-    T = K.shape[0]
     diag = np.diag(K)
     if not np.all(np.isfinite(diag)) or np.any(diag <= 0):
         raise DecompositionError("kernel diagonal is not strictly positive")
@@ -707,8 +738,10 @@ def _dense_chol_of_inverse(K: np.ndarray) -> np.ndarray:
     except np.linalg.LinAlgError as exc:
         raise DecompositionError(f"kernel is numerically indefinite: {exc}") from None
     U = dscale[:, None] * Cf[::-1, ::-1]  # K = U U^T, U upper triangular
-    Linv_t = solve_triangular(U, np.eye(T), lower=False)
-    return Linv_t.T
+    Uinv, info = dtrtri(U, lower=0)
+    if info != 0:
+        raise DecompositionError("kernel factor is singular")
+    return Uinv.T
 
 
 def inverse_cholesky(spec: KernelSpec, dim: int) -> BandedFactor:
@@ -730,11 +763,10 @@ def inverse_cholesky(spec: KernelSpec, dim: int) -> BandedFactor:
     fam = base.family
 
     if fam == "SS":
-        K = build_kernel(base, T)
-        L = _dense_chol_of_inverse(K)
+        L = _dense_chol_of_inverse(build_kernel(base, T))
+        flat, row, col = _band_index(T, T - 1)
         bands = np.zeros((T, T))
-        for d in range(T):
-            bands[d, : T - d] = np.diag(L, -d)
+        bands.ravel()[flat] = L[row, col]
         logdet = -2.0 * np.sum(np.log(bands[0]))
         return BandedFactor(T, T - 1, bands, float(logdet))
 
@@ -764,29 +796,28 @@ def inverse_cholesky(spec: KernelSpec, dim: int) -> BandedFactor:
         kappa = normalization_kappa(base)
         a = _operator_coefficients(base)
         Binv = _trailing_block_inverse_series(base, T)
-        try:
-            Mf = np.linalg.cholesky(Binv)
-            B = solve_triangular(
-                Mf, solve_triangular(Mf, np.eye(p), lower=True), lower=True, trans="T"
-            )
-            CB = np.linalg.cholesky(B)
-        except np.linalg.LinAlgError as exc:
+        # chol(B) of B = Binv^{-1} with one factorization and no solve: the
+        # flipped J Binv J = M M^T gives B = (J M^{-T} J)(J M^{-T} J)^T, and
+        # J M^{-T} J is lower triangular with a positive diagonal
+        M, info = dpotrf(Binv[::-1, ::-1], lower=1)
+        if info == 0:
+            Minv, info = dtrtri(M, lower=1)
+        if info != 0:
             raise ConditioningError(
-                f"trailing {p}x{p} block of {spec.display_name} is numerically indefinite: {exc}"
-            ) from None
+                f"trailing {p}x{p} block of {spec.display_name} is numerically indefinite"
+            )
+        CB = Minv.T[::-1, ::-1]
         bands = np.zeros((p + 1, T))
         tt = np.arange(1, T - p + 1, dtype=float)
-        root = kappa ** -0.5 * b ** (-tt / 2.0)
-        for j in range(p + 1):
-            bands[j, : T - p] = a[j] * root
-        Gtr = np.zeros((p, p))
-        for jj in range(p):
-            for ii in range(jj, p):
-                Gtr[ii, jj] = a[ii - jj]
-        trail = kappa ** -0.5 * (Gtr @ CB)
-        for jj in range(p):
-            for ii in range(jj, p):
-                bands[ii - jj, T - p + jj] = trail[ii, jj]
+        bands[:, : T - p] = np.outer(a, kappa ** -0.5 * b ** (-tt / 2.0))
+        # trailing columns: G_p CB with G_p the leading p x p block of the
+        # operator, lower Toeplitz in a[0 .. p-1]
+        flat, row, col = _band_index(p, p - 1)
+        Gp = np.zeros((p, p))
+        Gp[row, col] = a[row - col]
+        trail = np.zeros((p, p))
+        trail.ravel()[flat] = (Gp @ CB)[row, col]
+        bands[:p, T - p :] = kappa ** -0.5 * trail
         logdet = -2.0 * float(np.sum(np.log(bands[0])))
         return _apply_sign_flip(spec, BandedFactor(T, p, bands, logdet))
 
@@ -797,8 +828,7 @@ def _apply_sign_flip(spec: KernelSpec, factor: BandedFactor) -> BandedFactor:
     if not spec.sign_flipped:
         return factor
     bands = factor.bands.copy()
-    for d in range(1, factor.bandwidth + 1, 2):
-        bands[d] = -bands[d]
+    bands[1::2] *= -1.0
     return BandedFactor(factor.dim, factor.bandwidth, bands, factor.logdet_K)
 
 

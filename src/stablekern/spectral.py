@@ -118,7 +118,9 @@ def stationary_part(spec: KernelSpec, T: int = SPECTRAL_T,
     if not 0.0 < env < 1.0:
         raise ParameterError(f"envelope must lie in (0, 1); got {env}")
     K = build_kernel(spec, T)
-    if np.any(np.diag(K) == 0.0):
+    # a subnormal diagonal has lost the relative precision the spread
+    # certificate needs, just as a zero one has
+    if np.any(np.abs(np.diag(K)) < np.finfo(float).tiny):
         raise DecompositionError(
             "kernel entries underflow at this working length; reduce T"
         )

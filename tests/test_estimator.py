@@ -219,6 +219,26 @@ def test_nll_identity_randomized_sweep():
     assert worst < 1e-8
 
 
+@pytest.mark.parametrize("N", [5, 12, 13])
+@pytest.mark.parametrize(
+    "sp", [spec("TC", beta=0.8), spec("DC2", beta=0.7, alpha=0.4), spec("TC3", beta=0.6),
+           spec("SS", gamma=0.7)],
+    ids=lambda s: s.to_kv(),
+)
+def test_nll_qr_matches_direct_with_padded_reduction(sp, N):
+    # N < T + 1 leaves the reduced [A y] short of T + 1 rows; it is padded
+    # with zero rows before the triangular QR update (T = 12: N = 5, T, T + 1)
+    T = 12
+    rng = np.random.default_rng(N)
+    u, y = rng.normal(size=N), rng.normal(size=N)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        A = build_regressor(u, N, T)
+    v1 = nll_direct(y, A, build_kernel(sp, T), 0.7, 0.4)
+    v2 = nll_qr(y, A, inverse_cholesky(sp, T), 0.7, 0.4)
+    assert v2 == pytest.approx(v1, rel=1e-10)
+
+
 def test_nll_qr_residual_is_quadratic_in_y(small_problem):
     A, y, _ = small_problem
     F = inverse_cholesky(spec("TC", beta=0.75), A.shape[1])

@@ -359,6 +359,106 @@ def test_series_loops_are_bounded(monkeypatch):
         inverse_cholesky(sp, 10)
 
 
+@pytest.mark.parametrize("beta", [0.35, 0.6, 0.8, 0.92, 0.975])
+@pytest.mark.parametrize(
+    "name, kw",
+    [("TC3", {}), ("TC4", {}), ("TC5", {}), ("TC6", {}),
+     ("DC3", {"alpha": 0.5}), ("DC6", {"alpha": 0.5})],
+    ids=["TC3", "TC4", "TC5", "TC6", "DC3", "DC6"],
+)
+def test_series_certify_at_their_first_length(monkeypatch, name, kw, beta):
+    # the start length allows for the binomial growth of the inverse
+    # series, so no factor or leading variance pays for a failed attempt
+    attempts = []
+    certified = kernels._certified
+
+    def counting(spec_, attempt, what):
+        def counted(n):
+            out = attempt(n)
+            attempts.append((what, out is not None))
+            return out
+        return certified(spec_, counted, what)
+
+    monkeypatch.setattr(kernels, "_certified", counting)
+    sp = spec(name, beta=beta, **kw)
+    try:
+        inverse_cholesky(sp, 50)
+    except ConditioningError as exc:
+        assert "indefinite" in str(exc)  # refused after its one attempt
+    leading_variance.__wrapped__(sp)
+    assert [ok for _, ok in attempts] == [True, True], attempts
+
+
+@pytest.mark.parametrize(
+    "sp", [spec("TC3", beta=0.8), spec("TC6", beta=0.6), spec("DC4", beta=0.9, alpha=0.3)],
+    ids=lambda s: s.to_kv(),
+)
+def test_trailing_block_matches_per_window_loop(sp):
+    # reference: each tail window v_i[c] = -sum_{m > p-1-c} a[m] z_{i+p-1-c-m}
+    # summed term by term, at the length the series certifies at first
+    T = 30
+    a = kernels._operator_coefficients(sp)
+    p = len(a) - 1
+    n = kernels._start_length(sp)
+    z = kernels._inverse_series(sp, n + p)
+    G = np.zeros((p, p))
+    for i in range(1, n + 1):
+        v = np.zeros(p)
+        for c in range(p):
+            for m in range(p - c, p + 1):
+                j = i + p - 1 - c - m
+                if j >= 0:
+                    v[c] -= a[m] * z[j]
+        G += sp.beta ** i * np.outer(v, v)
+    want = np.diag(sp.beta ** np.arange(T - p + 1, T + 1.0)) + sp.beta ** T * G
+    got = kernels._trailing_block_inverse_series(sp, T)
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("T", [25, 50])
+@pytest.mark.parametrize("beta", [0.5, 0.8])
+@pytest.mark.parametrize(
+    "name, kw", [("TC4", {}), ("TC5", {}), ("TC6", {}), ("DC6", {"alpha": 0.5})],
+    ids=["TC4", "TC5", "TC6", "DC6"],
+)
+def test_series_factor_matches_dense_oracles(name, kw, beta, T):
+    # the trailing factor comes from one flipped Cholesky and a triangular
+    # inverse.  cond(K) exceeds 1e10 at every point here, mostly from the
+    # beta**t grading of the diagonal, so the identity is checked on the
+    # equilibrated W = S^-1 K S^-1 (S = sqrt(diag K)), as W (S L L' S) = I,
+    # at the forward-error bound T * cond(W) * eps
+    sp = spec(name, beta=beta, **kw)
+    K = build_kernel(sp, T)
+    s = np.sqrt(np.diag(K))
+    W = K / np.outer(s, s)
+    cond = np.linalg.cond(W)
+    if not cond < 1e10:
+        pytest.skip(f"cond(W) = {cond:.1e}: no dense oracle")
+    tol = T * cond * np.finfo(float).eps
+    F = inverse_cholesky(sp, T)
+    SL = s[:, None] * F.to_dense()
+    assert np.max(np.abs(W @ SL @ SL.T - np.eye(T))) <= tol
+    ld_oracle = 2.0 * np.sum(np.log(np.diag(dense_cholesky(K, lower=True))))
+    assert abs(F.logdet_K - ld_oracle) <= tol * max(1.0, abs(ld_oracle))
+
+
+@pytest.mark.parametrize("bandwidth", [0, 1, 2, 4, 8])
+def test_to_dense_matches_per_band_construction(bandwidth):
+    # bands 0, 1, 2, an order p and the dense T - 1 of SS
+    T = 9
+    bands = np.random.default_rng(bandwidth).normal(size=(bandwidth + 1, T))
+    for d in range(bandwidth + 1):
+        bands[d, T - d :] = 0.0  # padding past dim - d
+    want = np.zeros((T, T))
+    for d in range(bandwidth + 1):
+        want += np.diag(bands[d, : T - d], -d)
+    F = BandedFactor(T, bandwidth, bands, 0.0)
+    np.testing.assert_array_equal(F.to_dense(), want)
+    row, col, values = F.entries()
+    np.testing.assert_array_equal(want[row, col], values)
+    assert row.size == sum(T - d for d in range(bandwidth + 1))
+
+
 # ---------------------------------------------------------------------------
 # Validation and serialization
 # ---------------------------------------------------------------------------

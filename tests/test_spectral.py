@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from stablekern.errors import DecompositionError, DimensionError, ParameterError
-from stablekern.kernels import KernelSpec
+from stablekern.kernels import KernelSpec, build_kernel
 from stablekern.spectral import (
     PSD,
     SPREAD_TOL_CLOSED,
@@ -91,6 +91,17 @@ def test_wrong_envelope_raises():
         stationary_part(spec("TC", beta=0.8), T=50, envelope=0.5)
     with pytest.raises(ParameterError):
         stationary_part(spec("TC", beta=0.8), T=50, envelope=1.5)
+
+
+def test_subnormal_diagonal_is_reported_as_underflow():
+    # SS gamma=0.3 at T=200: K[200, 200] = gamma**600 / 3 ~ 1e-314 is
+    # subnormal, not zero; the diagnosis must still be underflow, not a
+    # wrong envelope
+    sp = spec("SS", gamma=0.3)
+    assert 0.0 < build_kernel(sp, 200)[-1, -1] < np.finfo(float).tiny
+    with pytest.raises(DecompositionError, match="underflow.*reduce T"):
+        stationary_part(sp, T=200)
+    assert stationary_part(sp, T=100).spread < SPREAD_TOL_CLOSED
 
 
 def test_ss_envelope_is_gamma_cubed():
