@@ -9,7 +9,9 @@ from one of the families in :mod:`stablekern.kernels`.  Hyperparameters are
 chosen by minimizing the negative log marginal likelihood, evaluated either
 directly on the ``N x N`` output covariance or through a QR factorization of
 the stacked least-squares system, which costs ``O(T^3)`` per trial point
-after a one-time reduction of the data matrix.
+after a one-time reduction of the data matrix.  The tuner runs BFGS on the
+QR likelihood with its adjoint gradient: the factors of the QR update give
+every term, and ``M^{-1}`` is needed only on the band of the kernel factor.
 """
 
 from __future__ import annotations
@@ -18,14 +20,16 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, solve_triangular, toeplitz
-from scipy.linalg.lapack import dtpqrt
+from scipy.linalg.lapack import dtpqrt, dtrtri
 from scipy.optimize import minimize
 
 from .errors import (
     ConditioningError,
+    DecompositionError,
     DimensionError,
     OptimizationError,
     ParameterError,
@@ -33,8 +37,10 @@ from .errors import (
 from .kernels import (
     BandedFactor,
     KernelSpec,
+    _band_index,
     _cached_factor,
     _dense_chol_of_inverse,
+    inverse_cholesky,
     leading_variance,
 )
 
@@ -325,6 +331,12 @@ def estimate_sigma2(u, y, order: int | None = None) -> float:
     return float(resid @ resid / (N - order))
 
 
+def _default_sigma2(dataset: Dataset, T: int) -> float:
+    """The noise variance a fit of length ``T`` uses when none is given:
+    :func:`estimate_sigma2` at order ``min(T, N // 3)``."""
+    return estimate_sigma2(dataset.u, dataset.y, order=min(T, max(1, dataset.n // 3)))
+
+
 # ---------------------------------------------------------------------------
 # Hyperparameter search
 # ---------------------------------------------------------------------------
@@ -366,6 +378,15 @@ class _BoxTransform:
                 v = math.exp(math.log(lo) + p * (math.log(hi) - math.log(lo)))
             out.append(v)
         return out
+
+    def dlog_lam_dz(self, z0) -> float:
+        """Derivative of ``log lam`` along its coordinate ``z[0]`` (zero where
+        :meth:`from_z` clamps)."""
+        if not -40.0 < z0 < 40.0:
+            return 0.0
+        p = _expit(float(z0))
+        lo, hi = self.bounds[0]
+        return (math.log(hi) - math.log(lo)) * p * (1.0 - p)
 
 
 def _family_parameters(template: KernelSpec) -> _BoxTransform:
@@ -409,6 +430,141 @@ _DEFAULT_LAMBDA_GRID = tuple(10.0 ** k for k in range(-4, 5, 2))
 _DEFAULT_DECAY_GRID = (0.35, 0.6, 0.8, 0.92, 0.975)
 _DEFAULT_ALPHA_GRID = (0.15, 0.5, 0.85)
 
+# What a trial point may raise when the kernel factor, its leading variance
+# or the QR update refuses it; the point then scores ``inf``.
+_REFUSED = (ConditioningError, DecompositionError, np.linalg.LinAlgError)
+
+# Central-difference step, in box coordinates, of the shape derivatives of
+# the kernel factor and of its leading variance.
+_SHAPE_STEP = 1e-5
+
+# BFGS stops at this max-norm of the box-coordinate gradient.  An optimum on
+# a box bound (alpha -> 0 or 1) lies at z -> +-inf, where the NLL still
+# falls by about the gradient itself, so the tolerance is what such a fit
+# leaves on the table.  Interior optima mostly stop earlier, when rounding
+# of the NLL ends the line search near a gradient of 1e-7.
+_GRAD_TOL = 1e-8
+
+
+@lru_cache(maxsize=64)
+def _band_window_index(T: int, p: int) -> np.ndarray:
+    """``idx[a, b, c]``, ``a, b = 0 .. p``: position of ``X[c+a, c+b]`` of a
+    symmetric ``T x T`` matrix of bandwidth ``p`` stored as ``(p+1) x (T+p)``
+    rows ``X[i, i+d]``; entries past the matrix land in the zero padding."""
+    a = np.arange(p + 1)
+    d = np.abs(np.subtract.outer(a, a))
+    return (d * (T + p) + np.minimum.outer(a, a))[:, :, None] + np.arange(T)
+
+
+@lru_cache(maxsize=64)
+def _shift_index(T: int, p: int) -> np.ndarray:
+    """``idx[a, c] = min(c + a, T)``: gathers the ``x[c + a]`` that band
+    ``a`` of a factor meets in ``L' x`` from ``x`` padded with one zero."""
+    return np.minimum(np.add.outer(np.arange(p + 1), np.arange(T)), T)
+
+
+def _inverse_times_factor(Rinv: np.ndarray, factor: BandedFactor) -> np.ndarray:
+    """Bands ``0 .. p`` of ``M^-1 L`` with ``M^-1 = Rinv Rinv'``, in the
+    factor's band storage: all of ``M^-1 L`` that a trace against a banded
+    ``dL`` reads.  ``M^-1`` itself is formed on its bands ``0 .. p`` only,
+    as row-pair dot products of ``Rinv``; a dense factor (SS) uses dense
+    products."""
+    T, p = factor.dim, factor.bandwidth
+    if p >= T - 1:
+        flat, row, col = _band_index(T, p)
+        ML = np.zeros((p + 1, T))
+        ML.ravel()[flat] = (Rinv @ (Rinv.T @ factor.to_dense()))[row, col]
+        return ML
+    Minv = np.zeros((p + 1, T + p))
+    for d in range(p + 1):
+        Minv[d, : T - d] = np.einsum("ij,ij->i", Rinv[: T - d], Rinv[d:])
+    return np.einsum("abc,bc->ac", Minv.ravel()[_band_window_index(T, p)], factor.bands)
+
+
+class _Likelihood:
+    """QR marginal likelihood of one dataset over the box coordinates of one
+    kernel family, with its adjoint gradient."""
+
+    def __init__(self, dataset: Dataset, template: KernelSpec, T: int, sigma2: float):
+        self.template, self.T, self.sigma2, self.N = template, T, sigma2, dataset.n
+        self.R0 = _reduce_data(build_regressor(dataset.u, dataset.n, T), dataset.y)
+        self.transform = _family_parameters(template)
+
+    def spec(self, values) -> KernelSpec:
+        return _spec_from_values(self.template, self.transform.names, values)
+
+    def evaluate(self, values):
+        """``(nll, R1, R2, spec, factor, leading variance)`` at ``values``."""
+        spec = self.spec(values)
+        factor = _cached_factor(spec, self.T)
+        scale = leading_variance(spec)
+        nll, R1, R2 = _nll_from_stack(self.R0, factor, values[0] / scale, self.sigma2, self.N)
+        return nll, R1, R2, spec, factor, scale
+
+    def value_and_grad(self, z):
+        """NLL and its gradient in box coordinates; ``(inf, 0)`` where the
+        point is refused.
+
+        With ``s`` the leading variance, ``c = sigma2 s / lam``, ``M = R1'R1
+        = A'A + c L L'`` and ``g = R1^-1 R2``, a parameter changes the NLL by
+        ``g' d(cLL') g / sigma2 + T d log(lam / s) - 2 sum dL_ii / L_ii +
+        tr(M^-1 d(cLL'))`` (Rasmussen & Williams, eq. 5.9, in QR form).  The
+        ``lam`` derivative is exact; ``dL`` and ``d log s`` along a shape
+        coordinate are central differences of :func:`inverse_cholesky` and
+        :func:`leading_variance`, one-sided where a side is refused.
+        """
+        values = self.transform.from_z(z)
+        refused = math.inf, np.zeros(len(values))
+        try:
+            nll, R1, R2, _, factor, scale = self.evaluate(values)
+        except _REFUSED:
+            return refused
+        T, sigma2 = self.T, self.sigma2
+        Rinv, _ = dtrtri(R1, lower=0)
+        g = Rinv @ R2
+        c = sigma2 * scale / values[0]
+        L = factor.bands
+        windows = np.append(g, 0.0)[_shift_index(T, factor.bandwidth)]
+        Lg = np.einsum("ac,ac->c", L, windows)
+        ML = _inverse_times_factor(Rinv, factor)
+        # d(cLL') per unit d log c, contracted: quadratic and trace terms
+        dlogc = Lg @ Lg / sigma2 + np.sum(L * ML)
+        grad = np.empty(len(values))
+        grad[0] = (T - c * dlogc) * self.transform.dlog_lam_dz(z[0])
+        for j in range(1, len(values)):
+            shape = self._shape_derivative(z, j, L, math.log(scale))
+            if shape is None:
+                return refused
+            dL, dlogs = shape
+            grad[j] = (
+                c * dlogs * dlogc
+                + 2.0 * c * (Lg @ np.einsum("ac,ac->c", dL, windows) / sigma2
+                             + np.sum(dL * ML))
+                - T * dlogs
+                - 2.0 * np.sum(dL[0] / L[0])
+            )
+        if not np.isfinite(grad).all():
+            return refused
+        return nll, grad
+
+    def _shape_derivative(self, z, j, bands, log_scale):
+        """``(dL bands, d log s)`` along ``z[j]``; ``None`` if both sides
+        are refused."""
+        sides = []
+        for step in (_SHAPE_STEP, -_SHAPE_STEP):
+            zs = np.array(z, dtype=float)
+            zs[j] += step
+            spec = self.spec(self.transform.from_z(zs))
+            try:
+                sides.append((step, inverse_cholesky(spec, self.T).bands,
+                              math.log(leading_variance(spec))))
+            except _REFUSED:
+                sides.append((0.0, bands, log_scale))
+        (h1, L1, s1), (h2, L2, s2) = sides
+        if h1 == h2:
+            return None
+        return (L1 - L2) / (h1 - h2), (s1 - s2) / (h1 - h2)
+
 
 def fit_hyperparameters(
     dataset: Dataset,
@@ -424,8 +580,8 @@ def fit_hyperparameters(
     marginal likelihood, then return the regularized estimate at the optimum.
 
     The search seeds a coarse log-spaced grid, refines the best points with
-    a Nelder-Mead simplex in logit/log-transformed coordinates, and restarts
-    the simplex until it stops improving, which makes refits with the
+    BFGS on the adjoint gradient in logit/log-transformed coordinates, and
+    restarts BFGS until it stops improving, which makes refits with the
     returned point as sole seed reproduce the result bit for bit.
 
     ``template`` names the family (e.g. ``"TC2"``, ``"DC"``, a
@@ -448,27 +604,13 @@ def fit_hyperparameters(
     if sigma2 is None:
         sigma2 = dataset.sigma2
     if sigma2 is None:
-        sigma2 = estimate_sigma2(dataset.u, dataset.y, order=min(T, max(1, N // 3)))
+        sigma2 = _default_sigma2(dataset, T)
     if not sigma2 > 0:
         raise ParameterError(f"sigma2 must be positive; got {sigma2}")
 
-    A = build_regressor(dataset.u, N, T)
-    R0 = _reduce_data(A, dataset.y)
-    transform = _family_parameters(template)
+    likelihood = _Likelihood(dataset, template, T, sigma2)
+    transform = likelihood.transform
     names = transform.names
-
-    def objective_values(values):
-        spec = _spec_from_values(template, names, values)
-        factor = _cached_factor(spec, T)
-        scale = leading_variance(spec)
-        nll, R1, R2 = _nll_from_stack(R0, factor, values[0] / scale, sigma2, N)
-        return nll, R1, R2, spec
-
-    def objective_z(z):
-        try:
-            return objective_values(transform.from_z(z))[0]
-        except (ConditioningError, np.linalg.LinAlgError):
-            return np.inf
 
     # seed set: default coarse grid plus any caller-provided points
     seed_values = []
@@ -491,8 +633,8 @@ def fit_hyperparameters(
     scored = []
     for values in seed_values:
         try:
-            f = objective_values(values)[0]
-        except (ConditioningError, np.linalg.LinAlgError):
+            f = likelihood.evaluate(values)[0]
+        except _REFUSED:
             continue
         scored.append((f, tuple(values)))
     if not scored:
@@ -502,19 +644,19 @@ def fit_hyperparameters(
         )
     scored.sort(key=lambda t: (t[0], t[1]))
 
-    # Refinement tracks the incumbent in parameter space and restarts the
-    # simplex from it until no strict improvement remains, so a refit seeded
-    # with the returned point replays the same terminal simplex and stops.
+    # Refinement tracks the incumbent in parameter space and restarts BFGS
+    # from it until no strict improvement remains, so a refit seeded with
+    # the returned point replays the same final run and stops.
     best_f, best_values = scored[0][0], list(scored[0][1])
     for f0, v0 in scored[: max(1, refine_starts)]:
         f_cur, v_cur = f0, list(v0)
         while True:
             res = minimize(
-                objective_z,
+                likelihood.value_and_grad,
                 transform.to_z(v_cur),
-                method="Nelder-Mead",
-                options={"xatol": 1e-8, "fatol": 1e-12,
-                         "maxiter": maxiter * len(v_cur)},
+                jac=True,
+                method="BFGS",
+                options={"gtol": _GRAD_TOL, "maxiter": maxiter * len(v_cur)},
             )
             if res.fun < f_cur:
                 f_cur, v_cur = float(res.fun), transform.from_z(res.x)
@@ -523,7 +665,7 @@ def fit_hyperparameters(
         if f_cur < best_f:
             best_f, best_values = f_cur, v_cur
 
-    nll, R1, R2, spec = objective_values(best_values)
+    nll, R1, R2, spec, _, _ = likelihood.evaluate(best_values)
     g_hat = solve_triangular(R1, R2, lower=False)
     return EstimateResult(np.asarray(g_hat), float(best_values[0]), spec,
                           float(sigma2), nll)

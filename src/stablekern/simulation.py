@@ -28,7 +28,7 @@ from .errors import (
     ParameterError,
     StableKernError,
 )
-from .estimator import Dataset, _template_spec, fit_hyperparameters
+from .estimator import Dataset, _default_sigma2, _template_spec, fit_hyperparameters
 from .kernels import KernelSpec
 
 __all__ = [
@@ -319,11 +319,19 @@ def _single_run(config: ExperimentConfig, run: int) -> list[MCRow]:
     y, sigma2 = simulate_output(system, u, config.snr, rng)
     known = sigma2 if config.sigma2_mode == "true" else None
     dataset = Dataset(u, y, sigma2=known)
+    # the noise pre-fit is the same for every estimator, so it is made once;
+    # if it fails, each fit makes it again and reports the failure
+    fit_sigma2 = known
+    if fit_sigma2 is None:
+        try:
+            fit_sigma2 = _default_sigma2(dataset, config.T)
+        except StableKernError:
+            pass
     rows = []
     for name in config.estimators:
         t0 = time.perf_counter()
         try:
-            res = fit_hyperparameters(dataset, name, T=config.T)
+            res = fit_hyperparameters(dataset, name, T=config.T, sigma2=fit_sigma2)
             score = airf(system.g, res.g_hat)
             rows.append(
                 MCRow(run, name, score, res.spec, res.lam, res.sigma2,

@@ -12,7 +12,9 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
+from stablekern import estimator
 from stablekern.errors import (
     ConditioningError,
     DecompositionError,
@@ -351,6 +353,103 @@ def test_fit_refit_is_bit_identical():
     assert res2.lam == res.lam
     assert res2.spec == res.spec
     np.testing.assert_array_equal(res2.g_hat, res.g_hat)
+
+
+FITTED_FAMILIES = ("DI", "TC", "DC", "SS", "TC2", "DC2", "TC3", "DC3", "TC6")
+
+
+def _likelihood(name, ds, T=20):
+    return estimator._Likelihood(ds, estimator._template_spec(name), T, ds.sigma2)
+
+
+def _central_difference(f, z, h=1e-4):
+    """Five-point central difference of ``f`` at ``z``, one coordinate at a
+    time."""
+    grad = np.empty(len(z))
+    for i in range(len(z)):
+        e = np.zeros(len(z))
+        e[i] = h
+        grad[i] = (f(z - 2 * e) - 8 * f(z - e) + 8 * f(z + e) - f(z + 2 * e)) / (12 * h)
+    return grad
+
+
+# three interior box points per family: (z_lam, z_decay[, z_alpha]).  The
+# decays (0.12, 0.27, 0.38) stay where the order-6 trailing corner is
+# accurate: from beta = 0.5 on, the TC6 likelihood itself is rough at the
+# 1e-6 level of its differences (ROADMAP item 3)
+GRADIENT_POINTS = ((-0.5, -2.0, -0.8), (0.3, -1.0, 0.4), (1.0, -0.5, 1.2))
+
+
+@pytest.mark.parametrize("name", FITTED_FAMILIES)
+def test_likelihood_gradient_matches_differences(name):
+    ds, _ = _synthetic_dataset()
+    like = _likelihood(name, ds)
+    d = len(like.transform.names)
+    for point in GRADIENT_POINTS:
+        z = np.array(point[:d])
+        f, grad = like.value_and_grad(z)
+        ref = _central_difference(lambda x: like.value_and_grad(x)[0], z)
+        assert np.isfinite(f)
+        np.testing.assert_allclose(grad, ref, rtol=1e-6, atol=0)
+
+
+@pytest.mark.parametrize("name", FITTED_FAMILIES)
+def test_fit_is_a_minimum_for_the_simplex(name):
+    # a Nelder-Mead restart from the returned point finds nothing better
+    ds, _ = _synthetic_dataset()
+    res = fit_hyperparameters(ds, name, T=20)
+    like = _likelihood(name, ds)
+    values = [res.lam, *(getattr(res.spec, n) for n in like.transform.names[1:])]
+    polish = minimize(lambda z: like.value_and_grad(z)[0], like.transform.to_z(values),
+                      method="Nelder-Mead", options={"xatol": 1e-8, "fatol": 1e-12})
+    assert res.nll - polish.fun <= 1e-8 * abs(res.nll)
+
+
+@pytest.mark.parametrize("name", ["TC3", "SS"])
+def test_fit_refit_is_bit_identical_for_series_and_dense_factors(name):
+    ds, _ = _synthetic_dataset()
+    res = fit_hyperparameters(ds, name, T=15)
+    shape = res.spec.gamma if name == "SS" else res.spec.beta
+    res2 = fit_hyperparameters(ds, name, T=15, seeds=[(res.lam, shape)],
+                               use_default_grid=False)
+    assert (res2.nll, res2.lam, res2.spec) == (res.nll, res.lam, res.spec)
+    np.testing.assert_array_equal(res2.g_hat, res.g_hat)
+
+
+def test_refused_points_give_inf_or_one_sided_differences(monkeypatch):
+    ds, _ = _synthetic_dataset()
+    like = _likelihood("TC3", ds)
+    z = np.array([0.3, 0.0])
+    f, central = like.value_and_grad(z)
+    beta = like.transform.from_z(z)[1]
+    original = estimator.inverse_cholesky
+
+    def refuse_above(limit):
+        def factor(spec, dim):
+            if spec.beta > limit:
+                raise ConditioningError("refused")
+            return original(spec, dim)
+        return factor
+
+    monkeypatch.setattr(estimator, "inverse_cholesky", refuse_above(beta))
+    f1, one_sided = like.value_and_grad(z)
+    assert f1 == f
+    np.testing.assert_allclose(one_sided, central, rtol=1e-3)
+    monkeypatch.setattr(estimator, "inverse_cholesky", refuse_above(0.0))
+    f2, none = like.value_and_grad(z)
+    assert f2 == np.inf and np.array_equal(none, np.zeros(2))
+    # a refused centre: TC6 at beta = 0.999 fails its trailing block
+    f3, grad3 = _likelihood("TC6", ds, T=50).value_and_grad(np.array([0.0, 40.0]))
+    assert f3 == np.inf and np.all(np.isfinite(grad3))
+
+
+def test_fit_runs_through_refused_grid_points_without_warnings():
+    # the default grid's beta = 0.92 and 0.975 are refused for TC6 at T = 50
+    ds, _ = _synthetic_dataset(N=300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = fit_hyperparameters(ds, "TC6", T=50)
+    assert np.isfinite(res.nll)
 
 
 def test_fit_recovers_impulse_response_shape():

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from stablekern import estimator
 from stablekern.errors import (
     DegenerateSystemError,
     DimensionError,
@@ -23,6 +24,7 @@ from stablekern.simulation import (
     sample_impulse_response,
     simulate_output,
 )
+from stablekern.estimator import Dataset, fit_hyperparameters
 
 
 def _rng(seed=0, run=1):
@@ -334,3 +336,29 @@ def test_monte_carlo_records_failures():
     patched.to_csv(buf)
     last = buf.getvalue().strip().splitlines()[-1].split(",")
     assert last[2] == "nan" and last[3] == ""
+
+
+def test_monte_carlo_estimates_sigma2_once_per_run(monkeypatch):
+    # the estimators of a run share one noise pre-fit, and their rows are
+    # those of fits that make the pre-fit themselves
+    cfg = ExperimentConfig(study=1, estimators=("TC", "DI", "TC2"), **SMALL)
+    calls = []
+    original = estimator.estimate_sigma2
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(estimator, "estimate_sigma2", counting)
+    res = run_monte_carlo(cfg)
+    assert len(calls) == cfg.runs
+    for run in range(1, cfg.runs + 1):
+        rng = _rng(cfg.seed, run)
+        system = sample_impulse_response(cfg.study, rng, T=cfg.T)
+        u = generate_input(cfg.N, cfg.f_c, rng)
+        y, _ = simulate_output(system, u, cfg.snr, rng)
+        for name in cfg.estimators:
+            ref = fit_hyperparameters(Dataset(u, y), name, T=cfg.T)
+            row, = [r for r in res.rows if r.run == run and r.estimator == name]
+            assert (row.spec, row.lam, row.sigma2) == (ref.spec, ref.lam, ref.sigma2)
+            assert row.airf == airf(system.g, ref.g_hat)
