@@ -18,8 +18,9 @@ O(n T) time and O(n + T) memory for a truncation after ``n`` terms; each
 entry carries a rigorous geometric tail bound at ``_SERIES_TOL``.  Every
 series (first row, leading variance, trailing block) starts at the length
 where the tail of ``beta**j`` times the binomial growth of the inverse
-series would certify, and doubles at most ``_MAX_DOUBLINGS`` times; a series
-that still does not certify raises ``ConditioningError``.
+series would certify, and doubles at most ``_MAX_DOUBLINGS`` times and never
+past ``_MAX_SERIES_TERMS`` terms; a series that still does not certify
+raises ``ConditioningError``.
 
 Entries use the 1-based convention ``K[t, s]`` for ``t, s = 1..T``; arrays
 returned to callers are ordinary 0-based numpy arrays.
@@ -77,6 +78,13 @@ _SERIES_TOL = 1e-13
 # Times a series' truncation length may double past its geometric start
 # before the series is declared uncertifiable.
 _MAX_DOUBLINGS = 6
+
+# Longest truncation a series may try; the start length grows like
+# 1 / (1 - beta), so without it a beta near 1 exhausts memory.  One attempt at
+# this length peaks at 64 MiB of numpy buffers for order 3, 112 MiB for
+# order 6 and 176 MiB for order 10, and takes 0.5-0.9 s for orders 3-6 on a
+# 2-vCPU x86-64 VM.  Every beta <= 0.999 starts at <= 58k terms (order 6).
+_MAX_SERIES_TERMS = 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -405,10 +413,16 @@ def _certified(spec: KernelSpec, attempt, what: str):
     ``n = _start_length(spec) * 2**k`` for ``k = 0 .. _MAX_DOUBLINGS``.
 
     ``attempt`` returns ``None`` when its tail certificate fails at ``n``;
-    a series that fails at every length raises ``ConditioningError``.
+    a series that fails at every length, or would need a length past
+    ``_MAX_SERIES_TERMS``, raises ``ConditioningError``.
     """
     n = _start_length(spec)
     for _ in range(_MAX_DOUBLINGS + 1):
+        if n > _MAX_SERIES_TERMS:
+            raise ConditioningError(
+                f"{what} needs more than {_MAX_SERIES_TERMS} series terms at "
+                f"beta={spec.beta}"
+            )
         out = attempt(n)
         if out is not None:
             return out

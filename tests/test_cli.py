@@ -98,6 +98,17 @@ def test_kernel_dc6_near_unit_decay_is_bounded():
     assert done.stderr.startswith("error:") and "Traceback" not in done.stderr
 
 
+def test_kernel_near_unit_decay_is_refused_by_series_length():
+    # the TC3 series would start at ~4.5e8 terms at this beta
+    src = str(Path(stablekern.__file__).resolve().parents[1])
+    argv = [sys.executable, "-m", "stablekern.cli", "kernel", "--family", "TC3",
+            "--beta", "0.9999999", "--dim", "5", "--cholesky"]
+    done = subprocess.run(argv, capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert done.returncode == 1
+    assert done.stderr.startswith("error:") and "series terms" in done.stderr
+
+
 def test_kernel_usage_errors_exit_2():
     with pytest.raises(SystemExit) as exc:
         run_cli("kernel", "--family", "TC", "--beta", "0.5")  # no --dim

@@ -452,6 +452,87 @@ def test_fit_runs_through_refused_grid_points_without_warnings():
     assert np.isfinite(res.nll)
 
 
+def _spy_on_steps(monkeypatch, counter):
+    """Record, for every BFGS run of the estimator, the calls ``counter[0]``
+    counts before each accepted step and, last, in the final search."""
+    runs = []
+    real = estimator.minimize
+
+    def spy(fun, x0, callback=None, **kwargs):
+        run = []
+        counter[0] = 0
+
+        def step(intermediate_result):
+            run.append(counter[0])
+            counter[0] = 0
+            return callback(intermediate_result)
+
+        res = real(fun, x0, callback=step, **kwargs)
+        runs.append(run + [counter[0]])
+        return res
+
+    monkeypatch.setattr(estimator, "minimize", spy)
+    return runs
+
+
+def _rounded_quadratic(z):
+    # smooth, but its value is rounded to a grid of 1e-9: near the minimum a
+    # line search finds no decrease and fails, as on the rounded NLL
+    r = z - np.linspace(-1.0, 1.0, 6)
+    grad = (np.diag(np.logspace(0.0, 2.0, 6)) + 0.3) @ r
+    return round(0.5 * r @ grad / 1e-9) * 1e-9, grad
+
+
+def test_bfgs_cap_ends_a_failing_search_at_scipys_result(monkeypatch):
+    cap = estimator._LINE_SEARCH_EVALS
+    z0 = np.full(6, 2.0)
+    calls = [0]
+    steps = []
+
+    def counted(z):
+        calls[0] += 1
+        return _rounded_quadratic(z)
+
+    def step(intermediate_result):
+        steps.append(calls[0])
+        calls[0] = 0
+
+    ref = minimize(counted, z0, jac=True, method="BFGS", callback=step,
+                   options={"gtol": estimator._GRAD_TOL, "maxiter": 400})
+    # scipy's own final search fails after more than the cap, every
+    # accepted step before it needed at most the cap, and together they
+    # needed more, so the count must restart at every step
+    assert ref.status == 2 and calls[0] > cap
+    assert max(steps) <= cap < sum(steps)
+
+    runs = _spy_on_steps(monkeypatch, calls)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = estimator._bfgs(counted, z0, 400)
+    assert len(runs) == 1 and max(runs[0]) <= cap
+    assert res.status == 2
+    assert np.array_equal(res.x, ref.x) and res.fun == ref.fun
+
+
+@pytest.mark.parametrize("name", ["TC", "DC2", "SS", "TC3", "TC6"])
+def test_fit_line_searches_stay_within_the_cap(monkeypatch, name):
+    cap = estimator._LINE_SEARCH_EVALS
+    calls = [0]
+    real = estimator._Likelihood.value_and_grad
+
+    def counted(self, z):
+        calls[0] += 1
+        return real(self, z)
+
+    monkeypatch.setattr(estimator._Likelihood, "value_and_grad", counted)
+    runs = _spy_on_steps(monkeypatch, calls)
+    ds, _ = _synthetic_dataset()
+    fit_hyperparameters(ds, name, T=20)
+    assert max(max(run) for run in runs) == cap
+    # the count restarts at every accepted step, so a run may spend more
+    assert max(sum(run) for run in runs) > cap
+
+
 def test_fit_recovers_impulse_response_shape():
     ds, g = _synthetic_dataset(seed=30, N=300)
     res = fit_hyperparameters(ds, "TC2", T=20)

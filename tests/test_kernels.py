@@ -7,11 +7,16 @@ matrices, and the truncated-series route for the graded families.
 
 import io
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.linalg import cholesky as dense_cholesky
 
+import stablekern
 from stablekern import kernels
 from stablekern.errors import (
     ConditioningError,
@@ -357,6 +362,40 @@ def test_series_loops_are_bounded(monkeypatch):
         leading_variance.__wrapped__(sp)
     with pytest.raises(ConditioningError, match="does not certify"):
         inverse_cholesky(sp, 10)
+
+
+@pytest.mark.parametrize("call", ["leading_variance(sp)", "build_kernel(sp, 5)"])
+@pytest.mark.parametrize(
+    "name, kw", [("TC3", {}), ("TC6", {}), ("DC3", {"alpha": 0.5})], ids=["TC3", "TC6", "DC3"]
+)
+def test_series_near_unit_decay_is_refused_by_length(name, kw, call):
+    # at beta = 1 - 1e-7 the series would start at ~5e8 terms; it must be
+    # refused before any attempt, not exhaust memory or the clock
+    code = (
+        "import sys\n"
+        "from stablekern.errors import StableKernError\n"
+        "from stablekern.kernels import KernelSpec, build_kernel, leading_variance\n"
+        f"sp = KernelSpec.from_name({name!r}, beta=1 - 1e-7, **{kw!r})\n"
+        "try:\n"
+        f"    {call}\n"
+        "except StableKernError as exc:\n"
+        "    sys.exit(f'error: {exc}')\n"
+    )
+    src = str(Path(stablekern.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert done.returncode == 1, done.stderr
+    assert done.stderr.startswith("error:") and "series terms" in done.stderr
+
+
+@pytest.mark.parametrize(
+    "sp", [spec("TC3", beta=0.999), spec("TC6", beta=0.999), spec("DC6", beta=0.999, alpha=0.5)],
+    ids=lambda s: s.to_kv(),
+)
+def test_series_length_bound_leaves_room_at_the_fitting_box_edge(sp):
+    # the fitting box ends at beta = 0.999; series up to order 6 may still
+    # double four times there before the length bound
+    assert kernels._start_length(sp) * 2 ** 4 <= kernels._MAX_SERIES_TERMS
 
 
 @pytest.mark.parametrize("beta", [0.35, 0.6, 0.8, 0.92, 0.975])
