@@ -19,12 +19,12 @@ import numpy as np
 from .errors import DecompositionError, StableKernError
 from .estimator import Dataset, fit_hyperparameters
 from .kernels import (
-    FAMILIES,
     KernelSpec,
     build_inverse,
     build_kernel,
     inverse_cholesky,
     matrix_to_csv,
+    parse_family,
 )
 from .maxent import BandSpec, maxent_completion
 from .simulation import ExperimentConfig, run_monte_carlo
@@ -73,11 +73,8 @@ def _spec_args(parser: argparse.ArgumentParser, family_required: bool = True):
 
 
 def _spec_from_args(args) -> KernelSpec:
-    kw = dict(beta=args.beta, alpha=args.alpha, gamma=args.gamma)
-    name = args.family
-    if name in FAMILIES and name.endswith("d"):
-        return KernelSpec(name, delta=args.delta, **kw)
-    return KernelSpec.from_name(name, delta=args.delta, **kw)
+    return KernelSpec.from_name(args.family, beta=args.beta, alpha=args.alpha,
+                                delta=args.delta, gamma=args.gamma)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -137,12 +134,8 @@ def cmd_maxent_verify(args) -> int:
 
 def cmd_fit(args) -> int:
     dataset = Dataset.from_csv(args.data)
-    name = args.family
-    if name.endswith("d") and name[:-1] in ("TC", "DC", "HF", "HC"):
-        name = name[:-1]
-    if args.delta is not None and not name[-1].isdigit():
-        name = f"{name}{args.delta}"
-    result = fit_hyperparameters(dataset, name, T=args.T, sigma2=args.sigma2)
+    family = parse_family(args.family, args.delta)
+    result = fit_hyperparameters(dataset, family, T=args.T, sigma2=args.sigma2)
     _emit(result.to_json(), args.out)
     return 0
 
@@ -193,16 +186,14 @@ def cmd_mc(args) -> int:
 
 def cmd_psd(args) -> int:
     if args.sweep_delta:
-        stem = args.family.rstrip("0123456789")
-        if stem.endswith("d"):
-            stem = stem[:-1]
-        if stem not in ("TC", "DC", "HF", "HC"):
+        family, _ = parse_family(args.family, args.delta)
+        if family in ("DI", "SS"):
             raise StableKernError(
                 f"family {args.family!r} has no order sweep"
             )
         lines = []
         for d in range(1, args.sweep_delta + 1):
-            spec = KernelSpec.from_name(stem, beta=args.beta,
+            spec = KernelSpec.from_name(family, beta=args.beta,
                                         alpha=args.alpha, delta=d)
             spectrum = psd(stationary_part(spec), M=args.grid,
                            normalize=args.normalize)

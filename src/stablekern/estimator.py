@@ -35,13 +35,16 @@ from .errors import (
     ParameterError,
 )
 from .kernels import (
+    _FAMILY_TABLE,
     BandedFactor,
     KernelSpec,
     _band_index,
     _cached_factor,
     _dense_chol_of_inverse,
+    _display_name,
     inverse_cholesky,
     leading_variance,
+    parse_family,
 )
 
 __all__ = [
@@ -389,42 +392,14 @@ class _BoxTransform:
         return (math.log(hi) - math.log(lo)) * p * (1.0 - p)
 
 
-def _family_parameters(template: KernelSpec) -> _BoxTransform:
-    names = ["lam"]
-    bounds = [LAMBDA_BOUNDS]
-    if template.family == "SS":
-        names.append("gamma")
-        bounds.append(DECAY_BOUNDS)
-    else:
-        names.append("beta")
-        bounds.append(DECAY_BOUNDS)
-        if template.family in ("DC", "DCd", "HCd"):
-            names.append("alpha")
-            bounds.append(ALPHA_BOUNDS)
-    return _BoxTransform(names, bounds)
+_BOUNDS = {"lam": LAMBDA_BOUNDS, "beta": DECAY_BOUNDS, "gamma": DECAY_BOUNDS,
+           "alpha": ALPHA_BOUNDS}
 
 
-def _spec_from_values(template: KernelSpec, names, values) -> KernelSpec:
-    kw = dict(zip(names[1:], values[1:]))
-    return KernelSpec(
-        template.family,
-        beta=kw.get("beta"),
-        alpha=kw.get("alpha"),
-        delta=template.delta,
-        gamma=kw.get("gamma"),
-    )
+def _family_parameters(family: str) -> _BoxTransform:
+    names = ["lam", *(name for name in _FAMILY_TABLE[family][2] if name != "delta")]
+    return _BoxTransform(names, [_BOUNDS[name] for name in names])
 
-
-def _template_spec(template) -> KernelSpec:
-    """Normalize a family template (compact name or KernelSpec) to a spec
-    skeleton carrying only family and order; parameter values are dummies."""
-    name = template.display_name if isinstance(template, KernelSpec) else str(template)
-    for kw in ({"beta": 0.5}, {"beta": 0.5, "alpha": 0.5}, {"gamma": 0.5}):
-        try:
-            return KernelSpec.from_name(name, **kw)
-        except ParameterError:
-            continue
-    raise ParameterError(f"unrecognized kernel family template {name!r}")
 
 _DEFAULT_LAMBDA_GRID = tuple(10.0 ** k for k in range(-4, 5, 2))
 _DEFAULT_DECAY_GRID = (0.35, 0.6, 0.8, 0.92, 0.975)
@@ -496,13 +471,15 @@ class _Likelihood:
     """QR marginal likelihood of one dataset over the box coordinates of one
     kernel family, with its adjoint gradient."""
 
-    def __init__(self, dataset: Dataset, template: KernelSpec, T: int, sigma2: float):
-        self.template, self.T, self.sigma2, self.N = template, T, sigma2, dataset.n
+    def __init__(self, dataset: Dataset, family: tuple, T: int, sigma2: float):
+        self.family, self.delta = family
+        self.T, self.sigma2, self.N = T, sigma2, dataset.n
         self.R0 = _reduce_data(build_regressor(dataset.u, dataset.n, T), dataset.y)
-        self.transform = _family_parameters(template)
+        self.transform = _family_parameters(self.family)
 
     def spec(self, values) -> KernelSpec:
-        return _spec_from_values(self.template, self.transform.names, values)
+        kw = dict(zip(self.transform.names[1:], values[1:]))
+        return KernelSpec(self.family, delta=self.delta, **kw)
 
     def evaluate(self, values):
         """``(nll, R1, R2, spec, factor, leading variance)`` at ``values``."""
@@ -623,21 +600,26 @@ def fit_hyperparameters(
     ``_LINE_SEARCH_EVALS`` evaluations, which near an optimum only probe the
     rounding of the NLL.
 
-    ``template`` names the family (e.g. ``"TC2"``, ``"DC"``, a
-    :class:`KernelSpec` is also accepted); ``sigma2`` falls back to the
-    dataset's value or to :func:`estimate_sigma2`.  Kernels are rescaled to
-    unit leading variance inside the objective, so the reported ``lam`` is
-    expressed for the unit-scaled kernel regardless of family.
+    ``template`` names the family (e.g. ``"TC2"``, ``"DC"``; a ``(name,
+    delta)`` pair such as ``("TCd", 3)`` or a :class:`KernelSpec` is also
+    accepted), read by :func:`~stablekern.kernels.parse_family`; ``sigma2``
+    falls back to the dataset's value or to :func:`estimate_sigma2`.
+    Kernels are rescaled to unit leading variance inside the objective, so
+    the reported ``lam`` is expressed for the unit-scaled kernel regardless
+    of family.
     """
     if not isinstance(dataset, Dataset):
         raise ParameterError("dataset must be a Dataset instance")
     T = int(T)
     if T < 1:
         raise DimensionError(f"T must be >= 1; got {T}")
-    template = _template_spec(template)
-    if template.family in ("TCd", "DCd", "HFd", "HCd") and T < template.delta + 2:
+    if isinstance(template, KernelSpec):
+        template = template.family, template.delta
+    family, delta = (parse_family(*template) if isinstance(template, tuple)
+                     else parse_family(template))
+    if delta is not None and T < delta + 2:
         raise DimensionError(
-            f"order-{template.delta} families need T >= delta + 2; got T={T}"
+            f"order-{delta} families need T >= delta + 2; got T={T}"
         )
     N = dataset.n
     if sigma2 is None:
@@ -647,7 +629,7 @@ def fit_hyperparameters(
     if not sigma2 > 0:
         raise ParameterError(f"sigma2 must be positive; got {sigma2}")
 
-    likelihood = _Likelihood(dataset, template, T, sigma2)
+    likelihood = _Likelihood(dataset, (family, delta), T, sigma2)
     transform = likelihood.transform
     names = transform.names
 
@@ -679,7 +661,7 @@ def fit_hyperparameters(
     if not scored:
         raise OptimizationError(
             f"all {len(seed_values)} seed points evaluated non-finite for "
-            f"family {template.display_name} (N={N}, T={T}, sigma2={sigma2:g})"
+            f"family {_display_name(family, delta)} (N={N}, T={T}, sigma2={sigma2:g})"
         )
     scored.sort(key=lambda t: (t[0], t[1]))
 

@@ -11,6 +11,13 @@ FIR impulse-response estimation and exposes their structural decompositions:
 * high-frequency mirrors ``HFd``/``HCd`` obtained by the alternating-sign
   similarity ``S K S`` with ``S = diag(1, -1, 1, ...)``.
 
+Every spec reduces to a canonical ``(stem, order)``: stem ``DI``, ``TC``,
+``DC`` or ``SS``, order the inverse bandwidth.  ``_RECORDS`` holds the
+formulas of each closed form (``DI``, ``SS``, ``TC``/``DC`` at orders 1-2),
+orders >= 3 share ``_SERIES_RECORD``, and ``_SERIES`` holds each stem's
+operator coefficients and inverse series; so ``TC`` and ``TCd(1)``, or
+``HFd`` and ``TCd``, compute alike.  :func:`parse_family` reads every name.
+
 The kernels are exponentially convex, ``K[t+1, s+1] = beta * K[t, s]``, so a
 series kernel is built from its certified first row alone:
 ``K[t, s] = beta**(min(t, s) - 1) * K[1, 1 + |t - s|]``.  The row costs
@@ -49,7 +56,9 @@ from .errors import (
 
 __all__ = [
     "FAMILIES",
+    "MAX_ORDER",
     "KernelSpec",
+    "parse_family",
     "BandedFactor",
     "toeplitz_inverse",
     "build_kernel",
@@ -65,9 +74,29 @@ __all__ = [
 #: order ``delta``; the remaining tags are fixed-order families.
 FAMILIES = ("DI", "TC", "DC", "SS", "TCd", "DCd", "HFd", "HCd")
 
-_BETA_FAMILIES = ("DI", "TC", "DC", "TCd", "DCd", "HFd", "HCd")
-_ALPHA_FAMILIES = ("DC", "DCd", "HCd")
-_DELTA_FAMILIES = ("TCd", "DCd", "HFd", "HCd")
+#: Highest admitted order ``delta``.  A certified-series attempt holds about
+#: 16 (delta + 1) bytes per term, so one attempt at ``_MAX_SERIES_TERMS``
+#: peaks at 176 MiB for order 10 (tracemalloc).
+MAX_ORDER = 10
+
+# family -> (stem, order, hyperparameters); order None is taken from delta,
+# or is the dense SS.  KernelSpec validates the hyperparameters, and the
+# estimator searches them in this order.
+_FAMILY_TABLE = {
+    "DI": ("DI", 0, ("beta",)),
+    "TC": ("TC", 1, ("beta",)),
+    "DC": ("DC", 1, ("beta", "alpha")),
+    "SS": ("SS", None, ("gamma",)),
+    "TCd": ("TC", None, ("beta", "delta")),
+    "DCd": ("DC", None, ("beta", "alpha", "delta")),
+    "HFd": ("TC", None, ("beta", "delta")),
+    "HCd": ("DC", None, ("beta", "alpha", "delta")),
+}
+
+# The canonical (stem, order) of every admitted (family, delta).
+_CANONICAL = {(family, delta): (stem, delta or order)
+              for family, (stem, order, takes) in _FAMILY_TABLE.items()
+              for delta in (range(1, MAX_ORDER + 1) if "delta" in takes else (None,))}
 
 _NAME_RE = re.compile(r"^(DI|SS|TC|DC|HF|HC)([0-9]+)?$")
 
@@ -87,6 +116,54 @@ _MAX_DOUBLINGS = 6
 _MAX_SERIES_TERMS = 2 ** 20
 
 
+def _check_delta(family: str, delta) -> None:
+    """The rules for the order ``delta`` of ``family``."""
+    if "delta" not in _FAMILY_TABLE[family][2]:
+        if delta is not None:
+            raise ParameterError(f"family {family} does not take delta")
+    elif delta is None:
+        raise ParameterError(f"family {family} requires delta")
+    elif not isinstance(delta, (int, np.integer)) or delta < 1:
+        raise ParameterError(f"delta must be an integer >= 1; got {delta}")
+    elif delta > MAX_ORDER:
+        raise ParameterError(f"delta must be at most MAX_ORDER = {MAX_ORDER}; got {delta}")
+
+
+def parse_family(name, delta=None) -> tuple[str, int | None]:
+    """Validated ``(family, delta)`` of a tag of :data:`FAMILIES` or of a
+    compact name ``DI``, ``SS``, ``TC``, ``DC``, ``HF`` or ``HC`` whose order
+    suffix must not contradict ``delta``; ``HF``/``HC`` default to order 1.
+
+    >>> parse_family("TC2"), parse_family("DC"), parse_family("HF"), parse_family("DCd", 3)
+    (('TCd', 2), ('DC', None), ('HFd', 1), ('DCd', 3))
+    """
+    text = str(name).strip()
+    if text in FAMILIES and "delta" in _FAMILY_TABLE[text][2]:
+        family = text
+    else:
+        m = _NAME_RE.match(text)
+        if m is None:
+            raise ParameterError(f"unrecognized kernel family name {name!r}")
+        family, digits = m.groups()
+        if digits is not None:
+            if family in ("DI", "SS"):
+                raise ParameterError(f"family {family} does not take an order suffix")
+            if delta is not None and int(digits) != delta:
+                raise ParameterError(f"order suffix in {name!r} contradicts delta={delta}")
+            delta = int(digits)
+        if family not in ("DI", "SS") and (delta is not None or family in ("HF", "HC")):
+            family, delta = family + "d", 1 if delta is None else delta
+    _check_delta(family, delta)
+    return family, delta
+
+
+def _display_name(family: str, delta) -> str:
+    """Compact name of a validated ``(family, delta)``, e.g. ``TC2``, ``HF``."""
+    if delta is None:
+        return family
+    return family[:2] if family in ("HFd", "HCd") and delta == 1 else f"{family[:2]}{delta}"
+
+
 @dataclass(frozen=True)
 class KernelSpec:
     """Validated hyperparameter set identifying one kernel.
@@ -101,7 +178,8 @@ class KernelSpec:
         Correlation parameter.  ``DC`` admits ``|alpha| < beta**-0.5``;
         ``DCd``/``HCd`` admit ``0 <= alpha <= 1``.
     delta : int, optional
-        Order ``>= 1`` of the ``TCd``/``DCd``/``HFd``/``HCd`` families.
+        Order ``1 <= delta <= MAX_ORDER`` of the ``TCd``/``DCd``/``HFd``/``HCd``
+        families.
     gamma : float, optional
         Stable-spline decay rate, ``0 < gamma < 1``; only for ``SS``.
     """
@@ -117,63 +195,36 @@ class KernelSpec:
             raise ParameterError(
                 f"unknown kernel family {self.family!r}; expected one of {FAMILIES}"
             )
-        if self.family in _BETA_FAMILIES:
-            if self.beta is None:
-                raise ParameterError(f"family {self.family} requires beta")
-            if not 0.0 < self.beta < 1.0:
-                raise ParameterError(
-                    f"beta must lie in the open interval (0, 1); got {self.beta}"
-                )
-        elif self.beta is not None:
-            raise ParameterError(f"family {self.family} does not take beta")
-
-        if self.family in _DELTA_FAMILIES:
-            if self.delta is None:
-                raise ParameterError(f"family {self.family} requires delta")
-            if not isinstance(self.delta, (int, np.integer)) or self.delta < 1:
-                raise ParameterError(f"delta must be an integer >= 1; got {self.delta}")
-        elif self.delta is not None:
-            raise ParameterError(f"family {self.family} does not take delta")
-
-        if self.family in _ALPHA_FAMILIES:
-            if self.alpha is None:
-                raise ParameterError(f"family {self.family} requires alpha")
-            if self.family == "DC":
+        takes = _FAMILY_TABLE[self.family][2]
+        for name in ("beta", "delta", "alpha", "gamma"):
+            value = getattr(self, name)
+            if name not in takes:
+                if value is not None:
+                    raise ParameterError(f"family {self.family} does not take {name}")
+            elif value is None:
+                raise ParameterError(f"family {self.family} requires {name}")
+            elif name == "delta":
+                _check_delta(self.family, value)
+            elif name != "alpha":
+                if not 0.0 < value < 1.0:
+                    raise ParameterError(
+                        f"{name} must lie in the open interval (0, 1); got {value}"
+                    )
+            elif self.family == "DC":
                 bound = self.beta ** -0.5
-                if not -bound < self.alpha < bound:
+                if not -bound < value < bound:
                     raise ParameterError(
-                        f"DC requires |alpha| < beta**-0.5 = {bound:.6g}; got {self.alpha}"
+                        f"DC requires |alpha| < beta**-0.5 = {bound:.6g}; got {value}"
                     )
-            else:
-                if not 0.0 <= self.alpha <= 1.0:
-                    raise ParameterError(
-                        f"{self.family} requires 0 <= alpha <= 1; got {self.alpha}"
-                    )
-        elif self.alpha is not None:
-            raise ParameterError(f"family {self.family} does not take alpha")
-
-        if self.family == "SS":
-            if self.gamma is None:
-                raise ParameterError("family SS requires gamma")
-            if not 0.0 < self.gamma < 1.0:
-                raise ParameterError(
-                    f"gamma must lie in the open interval (0, 1); got {self.gamma}"
-                )
-        elif self.gamma is not None:
-            raise ParameterError(f"family {self.family} does not take gamma")
+            elif not 0.0 <= value <= 1.0:
+                raise ParameterError(f"{self.family} requires 0 <= alpha <= 1; got {value}")
 
     # -- derived structure -------------------------------------------------
 
     @property
     def bandwidth(self) -> int | None:
         """Bandwidth of the inverse kernel; ``None`` when it is dense."""
-        if self.family == "DI":
-            return 0
-        if self.family in ("TC", "DC"):
-            return 1
-        if self.family in _DELTA_FAMILIES:
-            return int(self.delta)
-        return None  # SS
+        return _CANONICAL[self.family, self.delta][1]
 
     @property
     def sign_flipped(self) -> bool:
@@ -189,44 +240,16 @@ class KernelSpec:
 
     @property
     def display_name(self) -> str:
-        if self.family in _DELTA_FAMILIES:
-            stem = {"TCd": "TC", "DCd": "DC", "HFd": "HF", "HCd": "HC"}[self.family]
-            if stem in ("HF", "HC") and self.delta == 1:
-                return stem
-            return f"{stem}{self.delta}"
-        return self.family
+        return _display_name(self.family, self.delta)
 
     # -- construction / serialization --------------------------------------
 
     @classmethod
     def from_name(cls, name, *, beta=None, alpha=None, delta=None, gamma=None):
-        """Build a spec from a compact family name such as ``TC2`` or ``HF``.
-
-        A trailing integer selects the order of a ``TCd``-type family and
-        must not contradict an explicit ``delta``.
-        """
-        m = _NAME_RE.match(str(name).strip())
-        if m is None:
-            raise ParameterError(f"unrecognized kernel family name {name!r}")
-        stem, digits = m.group(1), m.group(2)
-        if stem in ("DI", "SS"):
-            if digits is not None:
-                raise ParameterError(f"family {stem} does not take an order suffix")
-            return cls(stem, beta=beta, alpha=alpha, delta=delta, gamma=gamma)
-        order = int(digits) if digits is not None else None
-        if order is not None and delta is not None and order != delta:
-            raise ParameterError(
-                f"order suffix in {name!r} contradicts delta={delta}"
-            )
-        order = order if order is not None else delta
-        if stem in ("HF", "HC"):
-            family = "HFd" if stem == "HF" else "HCd"
-            return cls(family, beta=beta, alpha=alpha, delta=order or 1, gamma=gamma)
-        if order is None or order == 1 and digits is None and delta is None:
-            # plain TC / DC
-            return cls(stem, beta=beta, alpha=alpha, gamma=gamma)
-        family = "TCd" if stem == "TC" else "DCd"
-        return cls(family, beta=beta, alpha=alpha, delta=order, gamma=gamma)
+        """Build a spec from a family name such as ``TC2``, ``HF`` or the tag
+        ``TCd`` with ``delta``; the name is read by :func:`parse_family`."""
+        family, delta = parse_family(name, delta)
+        return cls(family, beta=beta, alpha=alpha, delta=delta, gamma=gamma)
 
     def to_kv(self) -> str:
         """Flat ``key=value`` text form, e.g. ``family=TC2 beta=0.8``."""
@@ -253,18 +276,9 @@ class KernelSpec:
         extra = set(kv) - known
         if extra:
             raise ParameterError(f"unknown keys {sorted(extra)}")
-
-        def fget(key):
-            return float(kv[key]) if key in kv else None
-
         delta = int(kv["delta"]) if "delta" in kv else None
-        return cls.from_name(
-            kv["family"],
-            beta=fget("beta"),
-            alpha=fget("alpha"),
-            delta=delta,
-            gamma=fget("gamma"),
-        )
+        values = {key: float(kv[key]) for key in ("beta", "alpha", "gamma") if key in kv}
+        return cls.from_name(kv["family"], delta=delta, **values)
 
 
 @dataclass(frozen=True)
@@ -356,41 +370,43 @@ def _binomial_sequence(delta: int, n: int) -> np.ndarray:
     return np.prod((j[:, None] + (i - 1.0)) / i, axis=1)
 
 
-def _operator_coefficients(spec: KernelSpec) -> np.ndarray:
-    """Polynomial coefficients of the banded operator whose weighted Gram
-    factorizes the inverse kernel (``F**delta`` or its DC-type mixture)."""
-    base = spec.base()
-    if base.family in ("TC", "TCd"):
-        delta = 1 if base.family == "TC" else base.delta
-        return np.array(
-            [(-1) ** j * math.comb(delta, j) for j in range(delta + 1)], dtype=float
-        )
-    if base.family == "DC":
-        return np.array([1.0, -base.alpha])
-    if base.family == "DCd":
-        delta, alpha = base.delta, base.alpha
-        return np.array(
-            [(-1) ** j * ((1.0 - alpha) * math.comb(delta - 1, j) + alpha * math.comb(delta, j))
-             for j in range(delta + 1)]
-        )
-    raise DecompositionError(
-        f"family {spec.family} has no banded Toeplitz-operator decomposition"
+def _dc_coefficients(p: int, alpha: float) -> np.ndarray:
+    """``(1 - alpha) (1 - x)**(p - 1) + alpha (1 - x)**p``: exactly ``(1,
+    -alpha)`` at order 1 for ``0 <= alpha <= 1``, the form DC's signed alpha needs."""
+    if p == 1:
+        return np.array([1.0, -alpha])
+    return np.array(
+        [(-1) ** j * ((1.0 - alpha) * math.comb(p - 1, j) + alpha * math.comb(p, j))
+         for j in range(p + 1)]
     )
 
 
-def _inverse_series(spec: KernelSpec, n: int) -> np.ndarray:
-    """First ``n`` coefficients of the inverse operator.
+# Per stem, any order p: (coefficients(p, alpha), inverse(p, alpha, n)) of
+# the operator F**p or (1 - x)**(p - 1) (1 - alpha x).  The DC inverse filters
+# binomial coefficients geometrically: each term has the sign of alpha**j.
+_SERIES = {
+    "TC": (lambda p, a: np.array([(-1) ** j * math.comb(p, j) for j in range(p + 1)], dtype=float),
+           lambda p, a, n: _binomial_sequence(p, n)),
+    "DC": (_dc_coefficients,
+           lambda p, a, n: lfilter([1.0], [1.0, -a], _binomial_sequence(p - 1, n))),
+}
 
-    The DC-type operator is ``(1 - x)**(delta - 1) * (1 - alpha x)``, so its
-    inverse is a geometric filter over binomial coefficients: every term
-    carries the sign of ``alpha**j`` and nothing cancels.
-    """
-    base = spec.base()
-    if base.family in ("TC", "TCd"):
-        delta = 1 if base.family == "TC" else base.delta
-        return _binomial_sequence(delta, n)
-    delta = 1 if base.family == "DC" else base.delta
-    return lfilter([1.0], [1.0, -base.alpha], _binomial_sequence(delta - 1, n))
+
+def _operator_coefficients(spec: KernelSpec) -> np.ndarray:
+    """Polynomial coefficients of the banded operator whose weighted Gram
+    factorizes the inverse kernel (``F**delta`` or its DC-type mixture)."""
+    stem, p = _CANONICAL[spec.family, spec.delta]
+    if stem not in _SERIES:
+        raise DecompositionError(
+            f"family {spec.family} has no banded Toeplitz-operator decomposition"
+        )
+    return _SERIES[stem][0](p, spec.alpha)
+
+
+def _inverse_series(spec: KernelSpec, n: int) -> np.ndarray:
+    """First ``n`` coefficients of the inverse operator."""
+    stem, p = _CANONICAL[spec.family, spec.delta]
+    return _SERIES[stem][1](p, spec.alpha, n)
 
 
 def _start_length(spec: KernelSpec) -> int:
@@ -433,30 +449,6 @@ def _certified(spec: KernelSpec, attempt, what: str):
     )
 
 
-def normalization_kappa(spec: KernelSpec) -> float:
-    """Scalar normalization of the banded-operator decomposition.
-
-    Orders 1 and 2 carry the constants that make the closed-form kernel
-    entries come out exactly; higher orders are left unnormalized (the
-    constant is absorbed by the scale hyperparameter of the estimator).
-    """
-    base = spec.base()
-    b, a = base.beta, base.alpha
-    if base.family in ("DI", "SS"):
-        return 1.0
-    if base.family == "TC" or (base.family == "TCd" and base.delta == 1):
-        return 1.0 - b
-    if base.family == "TCd" and base.delta == 2:
-        return (1.0 - b) ** 3
-    if base.family == "DC" or (base.family == "DCd" and base.delta == 1):
-        # PD normalization: the weighted Gram of tpl(1, alpha, alpha^2, ...)
-        # sums the geometric series 1/(1 - alpha^2 beta).
-        return 1.0 - a * a * b
-    if base.family == "DCd" and base.delta == 2:
-        return (1.0 - b) * (1.0 - a * b) * (1.0 - a * a * b)
-    return 1.0
-
-
 # ---------------------------------------------------------------------------
 # Kernel entries
 # ---------------------------------------------------------------------------
@@ -478,9 +470,23 @@ def _powers(x: float, n: int) -> np.ndarray:
     return x ** np.arange(n + 1, dtype=float)
 
 
+def _ss_entries(spec: KernelSpec, T: int) -> np.ndarray:
+    g = spec.gamma
+    mx, mn, _ = _grid(T)
+    gp = _powers(g, 2 * T)
+    return gp[mx + mn] * gp[mx] / 2.0 - (g ** (3.0 * np.arange(T + 1)))[mx] / 6.0
+
+
+def _tc2_entries(spec: KernelSpec, T: int) -> np.ndarray:
+    b = spec.beta
+    mx, _, d = _grid(T)
+    bp = _powers(b, T + 1)
+    return 2.0 * bp[mx + 1] + (1.0 - b) * (1.0 + d) * bp[mx]
+
+
 def _order2_entries(T: int, beta: float, alpha: float) -> np.ndarray:
     """DC2 entries in the cumulative-geometric form, stable on all of
-    ``0 <= alpha <= 1`` (``alpha = 1`` reproduces TC2 exactly)."""
+    ``0 <= alpha <= 1``."""
     mx, _, d = _grid(T)
     S = np.cumsum(_powers(alpha, T - 1))  # S[d] = sum_{j<=d} alpha^j
     Spad = np.concatenate(([0.0, 0.0], S))  # Spad[d] = S[d-2], zero for d < 2
@@ -534,45 +540,6 @@ def _series_kernel(spec: KernelSpec, T: int) -> np.ndarray:
     return _powers(spec.beta, T - 1)[mn - 1] * _first_row(spec, T)[d]
 
 
-def build_kernel(spec: KernelSpec, dim: int) -> np.ndarray:
-    """Dense ``dim x dim`` kernel matrix for ``spec``.
-
-    Closed-form entries are used for ``DI``, ``TC``, ``DC``, ``SS`` and the
-    order-1/2 graded families; orders above 2 fall back to the certified
-    truncated series.  Sign-flipped families multiply entries by
-    ``(-1)**|t-s|``.
-    """
-    T = int(dim)
-    if T < 1:
-        raise DimensionError(f"kernel dimension must be >= 1; got {dim}")
-    base = spec.base()
-    mx, mn, d = _grid(T)
-
-    fam = base.family
-    b = base.beta
-    if fam == "DI":
-        K = np.diag(_powers(b, T)[1:])
-    elif fam == "TC" or (fam == "TCd" and base.delta == 1):
-        K = _powers(b, T)[mx]
-    elif fam == "DC" or (fam == "DCd" and base.delta == 1):
-        K = _powers(base.alpha, T - 1)[d] * _powers(b, T)[mx]
-    elif fam == "SS":
-        g = base.gamma
-        gp = _powers(g, 2 * T)
-        K = gp[mx + mn] * gp[mx] / 2.0 - (g ** (3.0 * np.arange(T + 1)))[mx] / 6.0
-    elif fam == "TCd" and base.delta == 2:
-        bp = _powers(b, T + 1)
-        K = 2.0 * bp[mx + 1] + (1.0 - b) * (1.0 + d) * bp[mx]
-    elif fam == "DCd" and base.delta == 2:
-        K = _order2_entries(T, b, base.alpha)
-    else:
-        K = _series_kernel(base, T)
-
-    if spec.sign_flipped:
-        K = np.where(d % 2 == 1, -K, K)
-    return K
-
-
 # ---------------------------------------------------------------------------
 # Trailing block of the finite-dimensional decomposition
 # ---------------------------------------------------------------------------
@@ -587,9 +554,8 @@ def _trailing_block_inverse_series(spec: KernelSpec, T: int) -> np.ndarray:
     block of ``(F^d)^T K F^d / kappa`` but immune to the catastrophic
     cancellation of forming that product at ``beta`` near 1.
     """
-    base = spec.base()
-    beta = base.beta
-    a = _operator_coefficients(base)
+    beta = spec.beta
+    a = _operator_coefficients(spec)
     p = len(a) - 1
     lead = np.diag(beta ** np.arange(T - p + 1, T + 1, dtype=float))
     # -v_i[c] = sum_{k <= c} a[p - c + k] z_{i-1-k}: the windows
@@ -599,7 +565,7 @@ def _trailing_block_inverse_series(spec: KernelSpec, T: int) -> np.ndarray:
     H = np.concatenate((a, np.zeros(p)))[2 * p - 1 - np.add.outer(k, k)]
 
     def attempt(n):
-        z = np.concatenate((np.zeros(p), _inverse_series(base, n + p)))
+        z = np.concatenate((np.zeros(p), _inverse_series(spec, n + p)))
         V = sliding_window_view(z[1 : n + p], p) @ H
         wts = beta ** np.arange(1, n + 1, dtype=float)
         G = (V.T * wts) @ V
@@ -611,85 +577,26 @@ def _trailing_block_inverse_series(spec: KernelSpec, T: int) -> np.ndarray:
             return lead + beta ** float(T) * G
         return None
 
-    return _certified(base, attempt, f"trailing block of {spec.display_name}")
+    return _certified(spec, attempt, f"trailing block of {spec.display_name}")
 
 
-def _trailing_block(spec: KernelSpec, T: int) -> np.ndarray:
-    """Closed-form ``B_T`` for orders 1-2, series-built otherwise."""
-    base = spec.base()
-    b = base.beta
-    kappa = normalization_kappa(base)
-    bw = base.bandwidth
-    if bw == 1:
-        return np.array([[kappa * b ** -float(T)]])
-    if bw == 2:
-        a = 1.0 if base.family == "TCd" else base.alpha
-        scale = (1.0 - a * b) * b ** -float(T)
-        return scale * np.array(
-            [
-                [b * (1.0 + a * b), a * b * b * (1.0 + a)],
-                [a * b * b * (1.0 + a), (1.0 - b - a * a * b) * (1.0 - a * b) + 2.0 * a * a * b * b],
-            ]
-        )
-    return np.linalg.inv(_trailing_block_inverse_series(base, T))
+def _order1_trailing(spec: KernelSpec, T: int) -> np.ndarray:
+    return np.array([[normalization_kappa(spec) * spec.beta ** -float(T)]])
+
+
+def _order2_trailing(T: int, b: float, a: float) -> np.ndarray:
+    scale = (1.0 - a * b) * b ** -float(T)
+    return scale * np.array(
+        [
+            [b * (1.0 + a * b), a * b * b * (1.0 + a)],
+            [a * b * b * (1.0 + a), (1.0 - b - a * a * b) * (1.0 - a * b) + 2.0 * a * a * b * b],
+        ]
+    )
 
 
 # ---------------------------------------------------------------------------
-# Inverse assembly and Cholesky factor
+# Cholesky factors of the inverse
 # ---------------------------------------------------------------------------
-
-def _banded_operator_dense(a: np.ndarray, T: int) -> np.ndarray:
-    G = np.zeros((T, T))
-    for j, coeff in enumerate(a):
-        if j < T:
-            idx = np.arange(T - j)
-            G[idx + j, idx] = coeff
-    return G
-
-
-def build_inverse(spec: KernelSpec, dim: int) -> np.ndarray:
-    """Assemble ``K^{-1}`` from the decomposition ``kappa^{-1} G D_T G^T``.
-
-    Entries with ``|t-s| > bandwidth`` are exact zeros by construction: the
-    factors carry structural zeros, never cancellation.  ``SS`` has no banded
-    decomposition and is rejected.
-    """
-    T = int(dim)
-    if T < 1:
-        raise DimensionError(f"kernel dimension must be >= 1; got {dim}")
-    base = spec.base()
-    if base.family == "SS":
-        raise DecompositionError("SS kernel has no banded inverse decomposition")
-    b = base.beta
-    if base.family == "DI":
-        return np.diag(b ** -np.arange(1, T + 1, dtype=float))
-
-    p = base.bandwidth
-    if p > 2 and T < p + 2:
-        raise DimensionError(
-            f"order-{p} families need dim >= delta + 2 = {p + 2}; got {T}"
-        )
-    kappa = normalization_kappa(base)
-    a = _operator_coefficients(base)
-    if T <= p:
-        # no room for the graded diagonal part; invert the dense kernel's
-        # trailing logic through the factor instead
-        L = inverse_cholesky(base, T).to_dense()
-        Kinv = L @ L.T
-    else:
-        B = _trailing_block(base, T)
-        G = _banded_operator_dense(a, T)
-        D = np.zeros((T, T))
-        lead = np.arange(1, T - p + 1, dtype=float)
-        D[: T - p, : T - p] = np.diag(b ** -lead)
-        D[T - p :, T - p :] = B
-        Kinv = (G @ D @ G.T) / kappa
-    if spec.sign_flipped:
-        t = np.arange(T)
-        sign = np.where((np.add.outer(t, t)) % 2 == 1, -1.0, 1.0)
-        Kinv = Kinv * sign
-    return Kinv
-
 
 def _order1_bands(T: int, beta: float, sub: float, kappa: float) -> tuple[np.ndarray, float]:
     bands = np.zeros((2, T))
@@ -758,6 +665,210 @@ def _dense_chol_of_inverse(K: np.ndarray) -> np.ndarray:
     return Uinv.T
 
 
+def _dc1_kappa(spec: KernelSpec) -> float:
+    # PD normalization: the weighted Gram of tpl(1, alpha, alpha^2, ...)
+    # sums the geometric series 1/(1 - alpha^2 beta).
+    return 1.0 - spec.alpha * spec.alpha * spec.beta
+
+
+def _ss_factor(spec: KernelSpec, T: int) -> tuple[np.ndarray, float]:
+    """``SS`` has no banded inverse: a dense factor of bandwidth ``T - 1``."""
+    L = _dense_chol_of_inverse(build_kernel(spec, T))
+    flat, row, col = _band_index(T, T - 1)
+    bands = np.zeros((T, T))
+    bands.ravel()[flat] = L[row, col]
+    return bands, -2.0 * np.sum(np.log(bands[0]))
+
+
+def _series_factor(spec: KernelSpec, T: int) -> tuple[np.ndarray, float]:
+    """Bands of an order ``p >= 3`` factor: the graded diagonal part of the
+    operator, then ``G_p chol(B)`` for the trailing ``p`` columns."""
+    p = spec.bandwidth
+    if T < p + 2:
+        raise DimensionError(
+            f"order-{p} families need dim >= delta + 2 = {p + 2}; got {T}"
+        )
+    a = _operator_coefficients(spec)
+    Binv = _trailing_block_inverse_series(spec.base(), T)
+    # chol(B) of B = Binv^{-1} with one factorization and no solve: the
+    # flipped J Binv J = M M^T gives B = (J M^{-T} J)(J M^{-T} J)^T, and
+    # J M^{-T} J is lower triangular with a positive diagonal
+    M, info = dpotrf(Binv[::-1, ::-1], lower=1)
+    if info == 0:
+        Minv, info = dtrtri(M, lower=1)
+    if info != 0:
+        raise ConditioningError(
+            f"trailing {p}x{p} block of {spec.display_name} is numerically indefinite"
+        )
+    CB = Minv.T[::-1, ::-1]
+    bands = np.zeros((p + 1, T))  # series kernels are unnormalized: kappa = 1
+    bands[:, : T - p] = np.outer(a, spec.beta ** (-np.arange(1, T - p + 1, dtype=float) / 2.0))
+    # trailing columns: G_p CB with G_p the leading p x p block of the
+    # operator, lower Toeplitz in a[0 .. p-1]
+    _, row, col = _band_index(p, p - 1)
+    bands[row - col, T - p + col] = (_banded_operator_dense(a, p) @ CB)[row, col]
+    return bands, -2.0 * float(np.sum(np.log(bands[0])))
+
+
+# ---------------------------------------------------------------------------
+# The family table
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class _Record:
+    """Formulas of one ``(stem, order)``: ``entries(spec, T)`` (unflipped),
+    ``factor(spec, T) -> (bands of L, log det K)``, ``k11(spec) = K[1, 1]``,
+    ``kappa(spec)`` and ``trailing(spec, T) = B_T`` (none for DI and SS)."""
+
+    entries: object
+    factor: object
+    k11: object
+    kappa: object = lambda s: 1.0
+    trailing: object = None
+
+
+# Closed forms.  TC2 keeps its own entries and kappa: the DC2 forms at
+# alpha = 1 differ from them in the last bit (entries at 776 of 800 (beta, T)
+# points, kappa at 109 of 400 betas).  Its trailing block is DC2's at alpha = 1.
+_RECORDS = {
+    ("DI", 0): _Record(
+        entries=lambda s, T: np.diag(_powers(s.beta, T)[1:]),
+        factor=lambda s, T: ((s.beta ** (-np.arange(1, T + 1, dtype=float) / 2.0))[None, :],
+                             np.log(s.beta) * T * (T + 1) / 2.0),
+        k11=lambda s: float(s.beta),
+    ),
+    ("SS", None): _Record(
+        entries=_ss_entries,
+        factor=_ss_factor,
+        k11=lambda s: float(s.gamma ** 3 / 3.0),
+    ),
+    ("TC", 1): _Record(
+        entries=lambda s, T: _powers(s.beta, T)[_grid(T)[0]],
+        factor=lambda s, T: _order1_bands(T, s.beta, 1.0, 1.0 - s.beta),
+        k11=lambda s: float(s.beta),
+        kappa=lambda s: 1.0 - s.beta,
+        trailing=_order1_trailing,
+    ),
+    ("DC", 1): _Record(
+        entries=lambda s, T: _powers(s.alpha, T - 1)[_grid(T)[2]] * _powers(s.beta, T)[_grid(T)[0]],
+        factor=lambda s, T: _order1_bands(T, s.beta, s.alpha, _dc1_kappa(s)),
+        k11=lambda s: float(s.beta),
+        kappa=_dc1_kappa,
+        trailing=_order1_trailing,
+    ),
+    ("TC", 2): _Record(
+        entries=_tc2_entries,
+        factor=lambda s, T: _order2_bands(T, s.beta, 1.0),
+        k11=lambda s: float(s.beta * (1.0 + s.beta)),
+        kappa=lambda s: (1.0 - s.beta) ** 3,
+        trailing=lambda s, T: _order2_trailing(T, s.beta, 1.0),
+    ),
+    ("DC", 2): _Record(
+        entries=lambda s, T: _order2_entries(T, s.beta, s.alpha),
+        factor=lambda s, T: _order2_bands(T, s.beta, s.alpha),
+        k11=lambda s: float(s.beta * (1.0 + s.alpha * s.beta)),
+        kappa=lambda s: (
+            (1.0 - s.beta) * (1.0 - s.alpha * s.beta) * (1.0 - s.alpha * s.alpha * s.beta)
+        ),
+        trailing=lambda s, T: _order2_trailing(T, s.beta, s.alpha),
+    ),
+}
+
+# Orders >= 3 of both stems: certified series, left unnormalized (the
+# constant is absorbed by the scale hyperparameter of the estimator).
+_SERIES_RECORD = _Record(
+    entries=lambda s, T: _series_kernel(s.base(), T),
+    factor=_series_factor,
+    k11=lambda s: float(_first_row(s.base(), 1)[0]),
+    trailing=lambda s, T: np.linalg.inv(_trailing_block_inverse_series(s.base(), T)),
+)
+
+
+def _record(spec: KernelSpec) -> _Record:
+    return _RECORDS.get(_CANONICAL[spec.family, spec.delta], _SERIES_RECORD)
+
+
+# ---------------------------------------------------------------------------
+# Public entry points
+# ---------------------------------------------------------------------------
+
+def _dimension(dim) -> int:
+    T = int(dim)
+    if T < 1:
+        raise DimensionError(f"kernel dimension must be >= 1; got {dim}")
+    return T
+
+
+def normalization_kappa(spec: KernelSpec) -> float:
+    """Scalar normalization of the banded-operator decomposition.
+
+    Orders 1 and 2 carry the constants that make the closed-form kernel
+    entries come out exactly; higher orders are left unnormalized (the
+    constant is absorbed by the scale hyperparameter of the estimator).
+    """
+    return _record(spec).kappa(spec)
+
+
+def build_kernel(spec: KernelSpec, dim: int) -> np.ndarray:
+    """Dense ``dim x dim`` kernel matrix for ``spec``.
+
+    Closed-form entries are used for ``DI``, ``TC``, ``DC``, ``SS`` and the
+    order-1/2 graded families; orders above 2 fall back to the certified
+    truncated series.  Sign-flipped families multiply entries by
+    ``(-1)**|t-s|``.
+    """
+    return _sign_flip(spec, _record(spec).entries(spec, _dimension(dim)))
+
+
+def _sign_flip(spec: KernelSpec, K: np.ndarray) -> np.ndarray:
+    """``S K S``, ``S = diag(1, -1, 1, ...)``, for a sign-flipped family."""
+    if not spec.sign_flipped:
+        return K
+    return np.where(_grid(len(K))[2] % 2 == 1, -K, K)
+
+
+def _banded_operator_dense(a: np.ndarray, T: int) -> np.ndarray:
+    _, row, col = _band_index(T, min(len(a), T) - 1)
+    G = np.zeros((T, T))
+    G[row, col] = a[row - col]
+    return G
+
+
+def build_inverse(spec: KernelSpec, dim: int) -> np.ndarray:
+    """Assemble ``K^{-1}`` from the decomposition ``kappa^{-1} G D_T G^T``.
+
+    Entries with ``|t-s| > bandwidth`` are exact zeros by construction: the
+    factors carry structural zeros, never cancellation.  ``SS`` has no banded
+    decomposition and is rejected.
+    """
+    T = _dimension(dim)
+    if spec.family == "SS":
+        raise DecompositionError("SS kernel has no banded inverse decomposition")
+    b = spec.beta
+    if spec.family == "DI":
+        return np.diag(b ** -np.arange(1, T + 1, dtype=float))
+
+    p = spec.bandwidth
+    if p > 2 and T < p + 2:
+        raise DimensionError(
+            f"order-{p} families need dim >= delta + 2 = {p + 2}; got {T}"
+        )
+    kappa = normalization_kappa(spec)
+    a = _operator_coefficients(spec)
+    if T <= p:
+        # no room for the graded diagonal part; invert the dense kernel's
+        # trailing logic through the factor instead
+        L = inverse_cholesky(spec.base(), T).to_dense()
+        Kinv = L @ L.T
+    else:
+        D = np.zeros((T, T))
+        D[T - p :, T - p :] = _record(spec).trailing(spec, T)
+        D[: T - p, : T - p] = np.diag(b ** -np.arange(1, T - p + 1, dtype=float))
+        G = _banded_operator_dense(a, T)
+        Kinv = (G @ D @ G.T) / kappa
+    return _sign_flip(spec, Kinv)
+
+
 def inverse_cholesky(spec: KernelSpec, dim: int) -> BandedFactor:
     """Banded lower Cholesky factor ``L`` of ``K^{-1}`` with the kernel's
     log-determinant.
@@ -769,81 +880,11 @@ def inverse_cholesky(spec: KernelSpec, dim: int) -> BandedFactor:
     Sign-flipped families reuse the factor of their base family via the
     similarity ``L -> S L S``, which flips the sign of every odd band.
     """
-    T = int(dim)
-    if T < 1:
-        raise DimensionError(f"kernel dimension must be >= 1; got {dim}")
-    base = spec.base()
-    b = base.beta
-    fam = base.family
-
-    if fam == "SS":
-        L = _dense_chol_of_inverse(build_kernel(base, T))
-        flat, row, col = _band_index(T, T - 1)
-        bands = np.zeros((T, T))
-        bands.ravel()[flat] = L[row, col]
-        logdet = -2.0 * np.sum(np.log(bands[0]))
-        return BandedFactor(T, T - 1, bands, float(logdet))
-
-    if fam == "DI":
-        bands = b ** (-np.arange(1, T + 1, dtype=float) / 2.0)
-        logdet = np.log(b) * T * (T + 1) / 2.0
-        return BandedFactor(T, 0, bands[None, :], float(logdet))
-
-    if fam == "TC" or (fam == "TCd" and base.delta == 1):
-        bands, logdet = _order1_bands(T, b, 1.0, 1.0 - b)
-        m = 1
-    elif fam == "DC" or (fam == "DCd" and base.delta == 1):
-        bands, logdet = _order1_bands(T, b, base.alpha, normalization_kappa(base))
-        m = 1
-    elif fam == "TCd" and base.delta == 2:
-        bands, logdet = _order2_bands(T, b, 1.0)
-        m = 2
-    elif fam == "DCd" and base.delta == 2:
-        bands, logdet = _order2_bands(T, b, base.alpha)
-        m = 2
-    else:
-        p = base.bandwidth
-        if T < p + 2:
-            raise DimensionError(
-                f"order-{p} families need dim >= delta + 2 = {p + 2}; got {T}"
-            )
-        kappa = normalization_kappa(base)
-        a = _operator_coefficients(base)
-        Binv = _trailing_block_inverse_series(base, T)
-        # chol(B) of B = Binv^{-1} with one factorization and no solve: the
-        # flipped J Binv J = M M^T gives B = (J M^{-T} J)(J M^{-T} J)^T, and
-        # J M^{-T} J is lower triangular with a positive diagonal
-        M, info = dpotrf(Binv[::-1, ::-1], lower=1)
-        if info == 0:
-            Minv, info = dtrtri(M, lower=1)
-        if info != 0:
-            raise ConditioningError(
-                f"trailing {p}x{p} block of {spec.display_name} is numerically indefinite"
-            )
-        CB = Minv.T[::-1, ::-1]
-        bands = np.zeros((p + 1, T))
-        tt = np.arange(1, T - p + 1, dtype=float)
-        bands[:, : T - p] = np.outer(a, kappa ** -0.5 * b ** (-tt / 2.0))
-        # trailing columns: G_p CB with G_p the leading p x p block of the
-        # operator, lower Toeplitz in a[0 .. p-1]
-        flat, row, col = _band_index(p, p - 1)
-        Gp = np.zeros((p, p))
-        Gp[row, col] = a[row - col]
-        trail = np.zeros((p, p))
-        trail.ravel()[flat] = (Gp @ CB)[row, col]
-        bands[:p, T - p :] = kappa ** -0.5 * trail
-        logdet = -2.0 * float(np.sum(np.log(bands[0])))
-        return _apply_sign_flip(spec, BandedFactor(T, p, bands, logdet))
-
-    return _apply_sign_flip(spec, BandedFactor(T, m, bands, float(logdet)))
-
-
-def _apply_sign_flip(spec: KernelSpec, factor: BandedFactor) -> BandedFactor:
-    if not spec.sign_flipped:
-        return factor
-    bands = factor.bands.copy()
-    bands[1::2] *= -1.0
-    return BandedFactor(factor.dim, factor.bandwidth, bands, factor.logdet_K)
+    T = _dimension(dim)
+    bands, logdet = _record(spec).factor(spec, T)
+    if spec.sign_flipped:
+        bands[1::2] *= -1.0
+    return BandedFactor(T, bands.shape[0] - 1, bands, float(logdet))
 
 
 @lru_cache(maxsize=512)
@@ -858,21 +899,7 @@ def leading_variance(spec: KernelSpec) -> float:
     Used to put kernels of different orders on a common scale, since the
     unnormalized high-order families grow like ``(1-beta)**-(2*delta-1)``.
     """
-    base = spec.base()
-    b = base.beta
-    fam = base.family
-    if fam in ("DI", "TC") or (fam == "TCd" and base.delta == 1):
-        return float(b)
-    if fam == "DC" or (fam == "DCd" and base.delta == 1):
-        return float(b)
-    if fam == "SS":
-        return float(base.gamma ** 3 / 3.0)
-    if fam == "TCd" and base.delta == 2:
-        return float(b * (1.0 + b))
-    if fam == "DCd" and base.delta == 2:
-        return float(b * (1.0 + base.alpha * b))
-    # series: K[1, 1] is the first entry of the certified first row
-    return float(_first_row(base, 1)[0])
+    return _record(spec).k11(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -885,6 +912,4 @@ def matrix_to_csv(M: np.ndarray, path_or_file) -> None:
 
 
 def matrix_from_csv(path_or_file) -> np.ndarray:
-    data = np.loadtxt(path_or_file, delimiter=",", ndmin=2)
-    return data
-
+    return np.loadtxt(path_or_file, delimiter=",", ndmin=2)

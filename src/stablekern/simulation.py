@@ -28,8 +28,8 @@ from .errors import (
     ParameterError,
     StableKernError,
 )
-from .estimator import Dataset, _default_sigma2, _template_spec, fit_hyperparameters
-from .kernels import KernelSpec
+from .estimator import Dataset, _default_sigma2, fit_hyperparameters
+from .kernels import KernelSpec, parse_family
 
 __all__ = [
     "TrueSystem",
@@ -211,7 +211,7 @@ class ExperimentConfig:
         else:
             object.__setattr__(self, "estimators", tuple(self.estimators))
         for name in self.estimators:
-            _template_spec(name)
+            parse_family(name)
 
     def to_json(self) -> str:
         return json.dumps(

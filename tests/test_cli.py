@@ -14,7 +14,7 @@ import pytest
 import stablekern
 from stablekern.cli import main
 from stablekern.estimator import Dataset
-from stablekern.kernels import KernelSpec, build_kernel, matrix_from_csv
+from stablekern.kernels import MAX_ORDER, KernelSpec, build_kernel, matrix_from_csv
 
 
 def run_cli(*argv):
@@ -107,6 +107,18 @@ def test_kernel_near_unit_decay_is_refused_by_series_length():
                           env=dict(os.environ, PYTHONPATH=src), timeout=60)
     assert done.returncode == 1
     assert done.stderr.startswith("error:") and "series terms" in done.stderr
+
+
+@pytest.mark.parametrize("mode", ["--cholesky", "--logdet", "--inverse"])
+@pytest.mark.parametrize("delta", [MAX_ORDER + 1, 1100])
+def test_kernel_order_above_the_cap_exit_1(capsys, delta, mode):
+    # 1100 used to end in an OverflowError traceback from math.comb
+    code = run_cli("kernel", "--family", "TCd", "--delta", str(delta), "--beta", "0.5",
+                   "--dim", str(delta + 2), mode)
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "MAX_ORDER" in captured.err
+    assert captured.out == ""
 
 
 def test_kernel_usage_errors_exit_2():
@@ -204,6 +216,32 @@ def test_fit_estimated_sigma2(impulse_dataset, tmp_path):
     result = json.loads(out.read_text())
     assert result["family"] == "TC2"
     assert result["sigma2"] > 0
+
+
+@pytest.mark.parametrize("verb", ["kernel", "fit", "psd"])
+@pytest.mark.parametrize(
+    "family, message",
+    [(["--family", "TCd"], "error: family TCd requires delta\n"),
+     (["--family", "TC3", "--delta", "4"], "error: order suffix in 'TC3' contradicts delta=4\n")],
+    ids=["tag-without-delta", "suffix-contradicts-delta"],
+)
+def test_every_verb_reads_family_names_alike(impulse_dataset, capsys, verb, family, message):
+    path, _, _ = impulse_dataset
+    rest = {"kernel": ["--dim", "8"], "fit": ["--data", str(path), "--T", "10"],
+            "psd": ["--sweep-delta", "3"]}[verb]
+    assert run_cli(verb, *family, "--beta", "0.5", *rest) == 1
+    captured = capsys.readouterr()
+    assert captured.err == message and captured.out == ""
+
+
+def test_fit_tag_with_delta_matches_compact_name(impulse_dataset, capsys):
+    path, _, sigma2 = impulse_dataset
+    args = ["--data", str(path), "--T", "10", "--sigma2", str(sigma2)]
+    assert run_cli("fit", "--family", "TCd", "--delta", "2", *args) == 0
+    tagged = capsys.readouterr().out
+    assert run_cli("fit", "--family", "TC2", *args) == 0
+    assert tagged == capsys.readouterr().out
+    assert json.loads(tagged)["family"] == "TC2"
 
 
 def test_fit_missing_file_exit_1(capsys):

@@ -38,6 +38,7 @@ from stablekern.kernels import (
     build_kernel,
     inverse_cholesky,
     leading_variance,
+    parse_family,
 )
 
 
@@ -359,7 +360,7 @@ FITTED_FAMILIES = ("DI", "TC", "DC", "SS", "TC2", "DC2", "TC3", "DC3", "TC6")
 
 
 def _likelihood(name, ds, T=20):
-    return estimator._Likelihood(ds, estimator._template_spec(name), T, ds.sigma2)
+    return estimator._Likelihood(ds, parse_family(name), T, ds.sigma2)
 
 
 def _central_difference(f, z, h=1e-4):

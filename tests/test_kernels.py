@@ -26,6 +26,7 @@ from stablekern.errors import (
     SingularOperatorError,
 )
 from stablekern.kernels import (
+    MAX_ORDER,
     BandedFactor,
     KernelSpec,
     build_inverse,
@@ -35,9 +36,11 @@ from stablekern.kernels import (
     matrix_from_csv,
     matrix_to_csv,
     normalization_kappa,
+    parse_family,
     toeplitz_inverse,
     _series_kernel,
 )
+from stablekern.spectral import stationary_part
 
 
 def spec(name, **kw):
@@ -261,6 +264,44 @@ def test_order_one_family_collapses_to_tc_and_dc():
         build_kernel(spec("DC", beta=b, alpha=a), 6),
         rtol=1e-13,
     )
+
+
+def _outputs(sp, T):
+    """Every output of ``sp`` at dimension ``T`` as raw bytes, or the class
+    and message of the refusal."""
+    calls = {
+        "kernel": lambda: build_kernel(sp, T),
+        "factor": lambda: inverse_cholesky(sp, T).bands,
+        "logdet": lambda: np.float64(inverse_cholesky(sp, T).logdet_K),
+        "inverse": lambda: build_inverse(sp, T),
+        "leading_variance": lambda: np.float64(leading_variance.__wrapped__(sp)),
+        "kappa": lambda: np.float64(normalization_kappa(sp)),
+        "stationary": lambda: stationary_part(sp, T).w,
+    }
+    out = {}
+    for name, call in calls.items():
+        try:
+            out[name] = call().tobytes()
+        except Exception as exc:  # refusals must match too
+            out[name] = (type(exc), str(exc))
+    return out
+
+
+@pytest.mark.parametrize("T", [1, 2, 3, 50])
+@pytest.mark.parametrize("beta", [0.3, 0.8, 0.999])
+@pytest.mark.parametrize(
+    "pair",
+    [("TC", {}, "TCd"), ("DC", {"alpha": 0.0}, "DCd"), ("DC", {"alpha": 0.3}, "DCd"),
+     ("DC", {"alpha": 1.0}, "DCd"), ("HF", {}, "HFd"), ("HC", {"alpha": 0.3}, "HCd")],
+    ids=["TC", "DC-0", "DC-0.3", "DC-1", "HF", "HC"],
+)
+def test_order_one_families_are_bitwise_identical(pair, beta, T):
+    # TC and TCd(1), DC and DCd(1) share one representation: every output,
+    # and every refusal, is the same to the last bit
+    name, kw, tag = pair
+    fixed = spec(name, beta=beta, **kw)
+    order1 = KernelSpec(tag, beta=beta, delta=1, **kw)
+    assert _outputs(fixed, T) == _outputs(order1, T)
 
 
 def test_dc2_alpha_limits():
@@ -524,6 +565,15 @@ def test_spec_validation_rejects(kw):
         KernelSpec(**kw)
 
 
+def test_order_is_capped():
+    assert build_kernel(KernelSpec("TCd", beta=0.5, delta=MAX_ORDER), 4).shape == (4, 4)
+    for delta in (MAX_ORDER + 1, 1100):
+        with pytest.raises(ParameterError, match="MAX_ORDER"):
+            KernelSpec("TCd", beta=0.5, delta=delta)
+        with pytest.raises(ParameterError, match="MAX_ORDER"):
+            spec(f"DC{delta}", beta=0.5, alpha=0.5)
+
+
 def test_dc_alpha_bound_tracks_beta():
     KernelSpec("DC", beta=0.5, alpha=1.3)  # 1.3 < 0.5**-0.5 ~ 1.414
     with pytest.raises(ParameterError):
@@ -548,6 +598,70 @@ def test_from_name_parsing(name, family, delta):
         kw["alpha"] = 0.5
     sp = KernelSpec.from_name(name, **kw)
     assert sp.family == family and sp.delta == delta
+
+
+# (name, delta) -> (family, delta), or None where the pair is refused
+NAME_TABLE = [
+    (("DI", None), ("DI", None)),
+    (("SS", None), ("SS", None)),
+    (("TC", None), ("TC", None)),
+    (("DC", None), ("DC", None)),
+    (("TC", 1), ("TCd", 1)),
+    (("TC1", None), ("TCd", 1)),
+    (("TC1", 1), ("TCd", 1)),
+    (("DC1", None), ("DCd", 1)),
+    (("TC2", 2), ("TCd", 2)),
+    (("DC", 3), ("DCd", 3)),
+    (("TC10", None), ("TCd", 10)),
+    (("HF", None), ("HFd", 1)),
+    (("HF", 1), ("HFd", 1)),
+    (("HF3", None), ("HFd", 3)),
+    (("HC", 2), ("HCd", 2)),
+    (("TCd", 3), ("TCd", 3)),
+    (("DCd", 1), ("DCd", 1)),
+    (("HFd", 1), ("HFd", 1)),
+    (("HCd", 4), ("HCd", 4)),
+    (("TCd", None), None),
+    (("HFd", None), None),
+    (("TC3", 4), None),
+    (("HF2", 1), None),
+    (("DI", 2), None),
+    (("DI3", None), None),
+    (("SS2", None), None),
+    (("SS", 1), None),
+    (("TC0", None), None),
+    (("HF0", None), None),
+    (("TCd", 0), None),
+    (("TC11", None), None),
+    (("TCd", 11), None),
+    (("TCd3", None), None),
+    (("XX", None), None),
+    (("tc2", None), None),
+]
+
+
+@pytest.mark.parametrize("given, want", NAME_TABLE, ids=[f"{n}-{d}" for (n, d), _ in NAME_TABLE])
+def test_name_table(given, want):
+    # the parser, from_name and from_kv read every name alike
+    name, delta = given
+    kw = {"gamma": 0.5} if name.startswith("SS") else {"beta": 0.5}
+    if name[:2] in ("DC", "HC"):
+        kw["alpha"] = 0.5
+    kv = f"family={name}" + ("" if delta is None else f" delta={delta}")
+    kv += "".join(f" {k}={v}" for k, v in kw.items())
+    if want is None:
+        for call in (lambda: parse_family(name, delta),
+                     lambda: KernelSpec.from_name(name, delta=delta, **kw),
+                     lambda: KernelSpec.from_kv(kv)):
+            with pytest.raises(ParameterError):
+                call()
+        return
+    assert parse_family(name, delta) == want
+    family, order = want
+    expected = KernelSpec(family, delta=order, **kw)
+    assert KernelSpec.from_name(name, delta=delta, **kw) == expected
+    assert KernelSpec.from_kv(kv) == expected
+    assert KernelSpec.from_kv(expected.to_kv()) == expected
 
 
 @pytest.mark.parametrize("bad", ["TCX", "SS2", "DI3", "", "tc2 "])
