@@ -27,6 +27,7 @@ from scipy.linalg import cho_factor, cho_solve, solve_triangular, toeplitz
 from scipy.linalg.lapack import dtpqrt, dtrtri
 from scipy.optimize import minimize
 
+from ._blas import single_threaded
 from .errors import (
     ConditioningError,
     DecompositionError,
@@ -195,6 +196,7 @@ def build_regressor(u, N: int, T: int) -> np.ndarray:
     return toeplitz(col, np.zeros(T))
 
 
+@single_threaded
 def rls_estimate(A, y, K, lam: float, sigma2: float) -> np.ndarray:
     """Regularized least-squares estimate through the stacked QR system.
 
@@ -221,6 +223,7 @@ def rls_estimate(A, y, K, lam: float, sigma2: float) -> np.ndarray:
     return solve_triangular(R, Q.T @ rhs, lower=False)
 
 
+@single_threaded
 def nll_direct(y, A, K, lam: float, sigma2: float) -> float:
     """Negative log marginal likelihood on the ``N x N`` output covariance:
     ``log det(Z) + y' Z^{-1} y`` with ``Z = lam * A K A' + sigma2 * I``."""
@@ -288,6 +291,7 @@ def _reduce_data(A: np.ndarray, y: np.ndarray) -> np.ndarray:
     return R0
 
 
+@single_threaded
 def nll_qr(y, A, factor: BandedFactor, lam: float, sigma2: float) -> float:
     """Negative log marginal likelihood via the stacked QR route:
 
@@ -579,6 +583,7 @@ def _bfgs(fun, z0, maxiter: int):
                     options={"gtol": _GRAD_TOL, "maxiter": maxiter})
 
 
+@single_threaded
 def fit_hyperparameters(
     dataset: Dataset,
     template,

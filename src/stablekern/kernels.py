@@ -46,6 +46,7 @@ from scipy.linalg.lapack import dpotrf, dtrtri
 from scipy.signal import lfilter
 from scipy.special import gammainccinv
 
+from ._blas import single_threaded
 from .errors import (
     ConditioningError,
     DecompositionError,
@@ -123,7 +124,7 @@ def _check_delta(family: str, delta) -> None:
             raise ParameterError(f"family {family} does not take delta")
     elif delta is None:
         raise ParameterError(f"family {family} requires delta")
-    elif not isinstance(delta, (int, np.integer)) or delta < 1:
+    elif not isinstance(delta, (int, np.integer)) or isinstance(delta, bool) or delta < 1:
         raise ParameterError(f"delta must be an integer >= 1; got {delta}")
     elif delta > MAX_ORDER:
         raise ParameterError(f"delta must be at most MAX_ORDER = {MAX_ORDER}; got {delta}")
@@ -276,9 +277,15 @@ class KernelSpec:
         extra = set(kv) - known
         if extra:
             raise ParameterError(f"unknown keys {sorted(extra)}")
-        delta = int(kv["delta"]) if "delta" in kv else None
-        values = {key: float(kv[key]) for key in ("beta", "alpha", "gamma") if key in kv}
-        return cls.from_name(kv["family"], delta=delta, **values)
+        values = {}
+        for key, kind, what in (("beta", float, "a number"), ("alpha", float, "a number"),
+                                ("delta", int, "an integer"), ("gamma", float, "a number")):
+            if key in kv:
+                try:
+                    values[key] = kind(kv[key])
+                except ValueError:
+                    raise ParameterError(f"{key}={kv[key]!r} is not {what}") from None
+        return cls.from_name(kv["family"], **values)
 
 
 @dataclass(frozen=True)
@@ -809,6 +816,7 @@ def normalization_kappa(spec: KernelSpec) -> float:
     return _record(spec).kappa(spec)
 
 
+@single_threaded
 def build_kernel(spec: KernelSpec, dim: int) -> np.ndarray:
     """Dense ``dim x dim`` kernel matrix for ``spec``.
 
@@ -834,6 +842,7 @@ def _banded_operator_dense(a: np.ndarray, T: int) -> np.ndarray:
     return G
 
 
+@single_threaded
 def build_inverse(spec: KernelSpec, dim: int) -> np.ndarray:
     """Assemble ``K^{-1}`` from the decomposition ``kappa^{-1} G D_T G^T``.
 
@@ -869,6 +878,7 @@ def build_inverse(spec: KernelSpec, dim: int) -> np.ndarray:
     return _sign_flip(spec, Kinv)
 
 
+@single_threaded
 def inverse_cholesky(spec: KernelSpec, dim: int) -> BandedFactor:
     """Banded lower Cholesky factor ``L`` of ``K^{-1}`` with the kernel's
     log-determinant.

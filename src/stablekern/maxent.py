@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
+from ._blas import single_threaded
 from .errors import DimensionError, InfeasibleExtensionError, ParameterError
 
 __all__ = [
@@ -173,6 +174,7 @@ def _cliques(band: BandSpec) -> np.ndarray:
     return band.data[lag, np.arange(band.dim - band.bandwidth)[:, None, None] + first]
 
 
+@single_threaded
 def check_feasibility(band: BandSpec) -> tuple[bool, int | None]:
     """Positive definiteness of every sliding ``(m+1) x (m+1)`` block.
 
@@ -185,6 +187,7 @@ def check_feasibility(band: BandSpec) -> tuple[bool, int | None]:
     return (False, int(np.argmax(bad)) + 1) if bad.any() else (True, None)
 
 
+@single_threaded
 def maxent_completion(band: BandSpec) -> CompletionResult:
     """Fill the unknown entries of a band specification by maximum entropy.
 

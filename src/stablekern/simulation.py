@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.signal import firwin, lfilter
 
+from ._blas import single_threaded
 from .errors import (
     DegenerateSystemError,
     DimensionError,
@@ -345,6 +346,7 @@ def _single_run(config: ExperimentConfig, run: int) -> list[MCRow]:
     return rows
 
 
+@single_threaded
 def run_monte_carlo(config: ExperimentConfig, workers: int | None = None) -> MCResult:
     """Execute a study; deterministic for a fixed seed regardless of worker
     count.  Individual estimator failures become NaN rows, not exceptions."""

@@ -9,15 +9,24 @@ kernel (the series families are built from their first row that way):
 truncated cosine-series power spectral density of ``w``; and
 ``low_frequency_mass`` quantifies how the prior's statistical power splits
 across frequency, which is the quantity the family orderings are stated in.
+
+``stationary_part`` gathers the kernel's upper diagonals into one vector,
+lag after lag, through an index cached per ``T``, so the rescaling and the
+spread certificate are a few whole-vector operations; only the per-lag means
+stay a loop, so that each ``w(tau)`` is the mean of its diagonal bit for bit.
+``psd`` multiplies ``w`` by a cosine table cached per grid and length.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import toeplitz
+from scipy.linalg.lapack import dpotrf
 
+from ._blas import single_threaded
 from .errors import DecompositionError, DimensionError, ParameterError
 from .kernels import KernelSpec, build_kernel
 
@@ -44,12 +53,18 @@ class StationaryKernel:
     ``spec`` records the originating kernel (``None`` for synthetic
     sequences); ``spread`` is the certified relative variation of the
     rescaled kernel across diagonal positions.
+
+    ``w`` must be a PSD autocovariance up to ``1e-8 w(0)``: the Toeplitz
+    matrix of ``w`` plus ``1e-8 w(0) I`` must pass a Cholesky factorization,
+    or else its smallest eigenvalue must not lie below ``-1e-8 w(0)``; the
+    error names that eigenvalue.
     """
 
     w: np.ndarray
     spec: KernelSpec | None = None
     spread: float = 0.0
 
+    @single_threaded
     def __post_init__(self):
         w = np.asarray(self.w, dtype=float)
         object.__setattr__(self, "w", w)
@@ -59,11 +74,17 @@ class StationaryKernel:
             raise ParameterError("autocovariance contains non-finite values")
         if not w[0] > 0:
             raise ParameterError(f"w(0) must be positive; got {w[0]}")
-        eigs = np.linalg.eigvalsh(toeplitz(w))
-        if eigs[0] < -1e-8 * w[0]:
-            raise ParameterError(
-                f"autocovariance matrix is not PSD (min eigenvalue {eigs[0]:.3e})"
-            )
+        # PSD up to a shift of 1e-8 w(0): one Cholesky decides it, and the
+        # eigenvalues are computed only to report a failure
+        shifted = toeplitz(w)
+        shifted.flat[:: w.size + 1] += 1e-8 * w[0]
+        _, info = dpotrf(shifted, lower=1, clean=0, overwrite_a=1)
+        if info != 0:
+            eigs = np.linalg.eigvalsh(toeplitz(w))
+            if eigs[0] < -1e-8 * w[0]:
+                raise ParameterError(
+                    f"autocovariance matrix is not PSD (min eigenvalue {eigs[0]:.3e})"
+                )
         w.setflags(write=False)
 
 
@@ -100,6 +121,24 @@ def _envelope(spec: KernelSpec) -> float:
     return spec.gamma ** 3 if spec.family == "SS" else spec.beta
 
 
+@lru_cache(maxsize=64)
+def _upper_diagonals(T: int):
+    """The upper diagonals of a ``T x T`` matrix packed lag after lag
+    (``K[1, 1], ..., K[T, T], K[1, 2], ...``): read-only flat indices into
+    the matrix, ``(t + s) / 2`` and the run start of each lag, and the slices
+    of the runs."""
+    lengths = T - np.arange(T)
+    starts = np.cumsum(lengths) - lengths
+    lag = np.repeat(np.arange(T), lengths)
+    row = np.arange(lag.size) - starts[lag]  # t - 1
+    arrays = (row * (T + 1) + lag, (2 * row + lag + 2) / 2.0, starts)
+    for a in arrays:
+        a.setflags(write=False)
+    runs = tuple(slice(a, a + n) for a, n in zip(starts.tolist(), lengths.tolist()))
+    return arrays + (runs,)
+
+
+@single_threaded
 def stationary_part(spec: KernelSpec, T: int = SPECTRAL_T,
                     envelope: float | None = None) -> StationaryKernel:
     """Extract ``w(tau) = env**(-(t+s)/2) * K[t, t+tau]`` and certify that it
@@ -110,6 +149,11 @@ def stationary_part(spec: KernelSpec, T: int = SPECTRAL_T,
     rescaled kernel stops being stationary, which is the symptom of a wrong
     envelope.  Rescaling runs in log space so steep envelopes at large ``T``
     do not overflow.
+
+    The certificate is ``spread = max_tau (max - min of lag tau) / scale``,
+    ``scale`` the largest rescaled magnitude on or above the diagonal, and
+    must not exceed ``SPREAD_TOL_CLOSED``.  ``w(tau)`` is the mean of lag
+    ``tau``'s ``T - tau`` rescaled entries.
     """
     T = int(T)
     if T < 1:
@@ -117,36 +161,43 @@ def stationary_part(spec: KernelSpec, T: int = SPECTRAL_T,
     env = _envelope(spec) if envelope is None else float(envelope)
     if not 0.0 < env < 1.0:
         raise ParameterError(f"envelope must lie in (0, 1); got {env}")
-    K = build_kernel(spec, T)
+    flat, halfsum, starts, runs = _upper_diagonals(T)
+    k = build_kernel(spec, T).ravel()[flat]
     # a subnormal diagonal has lost the relative precision the spread
     # certificate needs, just as a zero one has
-    if np.any(np.abs(np.diag(K)) < np.finfo(float).tiny):
+    if np.any(np.abs(k[:T]) < np.finfo(float).tiny):
         raise DecompositionError(
             "kernel entries underflow at this working length; reduce T"
         )
-    t = np.arange(1, T + 1)
-    halfsum = np.add.outer(t, t) / 2.0
     with np.errstate(divide="ignore"):
-        logmag = np.where(K == 0.0, -np.inf, np.log(np.abs(K)))
-    wmat = np.sign(K) * np.exp(logmag - halfsum * np.log(env))
+        logmag = np.where(k == 0.0, -np.inf, np.log(np.abs(k)))
+    vals = np.sign(k) * np.exp(logmag - halfsum * np.log(env))
 
-    w = np.empty(T)
-    scale = 0.0
-    spreads = np.empty(T)
-    for tau in range(T):
-        vals = np.diag(wmat, tau)
-        w[tau] = vals.mean()
-        spreads[tau] = vals.max() - vals.min()
-        scale = max(scale, np.max(np.abs(vals)))
-    spread = float(np.max(spreads) / scale)
+    spreads = np.maximum.reduceat(vals, starts) - np.minimum.reduceat(vals, starts)
+    spread = float(np.max(spreads) / np.max(np.abs(vals)))
     if spread > SPREAD_TOL_CLOSED:
         raise DecompositionError(
             f"rescaled kernel is not stationary (spread {spread:.3e} > {SPREAD_TOL_CLOSED:.0e}); "
             "the envelope does not match the family"
         )
-    return StationaryKernel(w, spec=spec, spread=spread)
+    # one pairwise sum per lag, as ``mean`` sums it, so ``w`` keeps its bits
+    sums = np.array([vals[run].sum() for run in runs])
+    return StationaryKernel(sums / (T - np.arange(T)), spec=spec, spread=spread)
 
 
+@lru_cache(maxsize=4)
+def _cosine_table(M: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only grid ``theta_j = j pi / (M - 1)`` and the ``M x (n - 1)``
+    table ``2 cos(theta_j tau)``, ``tau = 1 .. n - 1`` (0.8 MB at the
+    default ``M = 512``, ``n = 200``)."""
+    theta = np.linspace(0.0, np.pi, M)
+    table = 2.0 * np.cos(np.outer(theta, np.arange(1, n)))
+    theta.setflags(write=False)
+    table.setflags(write=False)
+    return theta, table
+
+
+@single_threaded
 def psd(w: StationaryKernel, M: int = 512, normalize: bool = False) -> PSD:
     """Cosine-series PSD ``phi(theta_j) = w(0) + 2 sum_tau w(tau) cos(theta_j tau)``
     on the grid ``theta_j = j pi / (M - 1)``.
@@ -157,10 +208,9 @@ def psd(w: StationaryKernel, M: int = 512, normalize: bool = False) -> PSD:
     M = int(M)
     if M < 2:
         raise DimensionError(f"grid size must be >= 2; got {M}")
-    theta = np.linspace(0.0, np.pi, M)
     coeffs = w.w
-    tau = np.arange(1, coeffs.size)
-    phi = coeffs[0] + 2.0 * np.cos(np.outer(theta, tau)) @ coeffs[1:]
+    theta, table = _cosine_table(M, coeffs.size)
+    phi = coeffs[0] + table @ coeffs[1:]
     if normalize:
         peak = phi.max()
         if peak <= 0:

@@ -558,6 +558,7 @@ def test_to_dense_matches_per_band_construction(bandwidth):
         dict(family="TC", beta=0.5, gamma=0.5),
         dict(family="XX", beta=0.5),
         dict(family="TCd", beta=0.5),
+        dict(family="TCd", beta=0.5, delta=True),
     ],
 )
 def test_spec_validation_rejects(kw):
@@ -695,6 +696,18 @@ def test_kv_rejects_malformed():
         KernelSpec.from_kv("family=TC beta=0.5 rho=2")
     with pytest.raises(ParameterError):
         KernelSpec.from_kv("family=TC3 beta=0.5 delta=4")
+
+
+@pytest.mark.parametrize("text, key, value", [
+    ("family=TC beta=x", "beta", "x"),
+    ("family=DC beta=0.5 alpha=-", "alpha", "-"),
+    ("family=SS gamma=0,5", "gamma", "0,5"),
+    ("family=TC2 delta=two beta=0.5", "delta", "two"),
+    ("family=TCd delta=2.0 beta=0.5", "delta", "2.0"),
+])
+def test_kv_rejects_non_numeric_values(text, key, value):
+    with pytest.raises(ParameterError, match=f"{key}='{value}'"):
+        KernelSpec.from_kv(text)
 
 
 def test_matrix_csv_round_trip():

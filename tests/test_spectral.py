@@ -1,13 +1,16 @@
 """Spectral decomposition tests.
 
 Oracles: hand-evaluated stationary closed forms, the AR(1) spectrum in
-closed form, and exact trapezoidal integration facts for flat spectra.
+closed form, exact trapezoidal integration facts for flat spectra, the
+per-diagonal extraction loop that the packed one replaced, and the direct
+cosine sum.
 """
 
 import io
 
 import numpy as np
 import pytest
+from scipy.linalg import toeplitz
 
 from stablekern.errors import DecompositionError, DimensionError, ParameterError
 from stablekern.kernels import KernelSpec, build_kernel
@@ -114,6 +117,103 @@ def test_ss_envelope_is_gamma_cubed():
     assert sk.spread < SPREAD_TOL_CLOSED
 
 
+def loop_stationary(sp, T, envelope=None):
+    """``(w, spread)`` by one pass per diagonal, the extraction that the
+    packed gather replaced; refusals raise as ``stationary_part`` does."""
+    env = (sp.gamma ** 3 if sp.family == "SS" else sp.beta) if envelope is None else envelope
+    K = build_kernel(sp, T)
+    if np.any(np.abs(np.diag(K)) < np.finfo(float).tiny):
+        raise DecompositionError("kernel entries underflow at this working length; reduce T")
+    t = np.arange(1, T + 1)
+    halfsum = np.add.outer(t, t) / 2.0
+    with np.errstate(divide="ignore"):
+        logmag = np.where(K == 0.0, -np.inf, np.log(np.abs(K)))
+    wmat = np.sign(K) * np.exp(logmag - halfsum * np.log(env))
+    w = np.empty(T)
+    scale = 0.0
+    spreads = np.empty(T)
+    for tau in range(T):
+        vals = np.diag(wmat, tau)
+        w[tau] = vals.mean()
+        spreads[tau] = vals.max() - vals.min()
+        scale = max(scale, np.max(np.abs(vals)))
+    spread = float(np.max(spreads) / scale)
+    if spread > SPREAD_TOL_CLOSED:
+        raise DecompositionError("rescaled kernel is not stationary")
+    return w, spread
+
+
+ORACLE_SPECS = [
+    spec("DI", beta=0.6),
+    spec("TC", beta=0.8),
+    spec("DC", beta=0.8, alpha=-0.4),
+    spec("SS", gamma=0.9),
+    spec("SS", gamma=0.3),
+    spec("TC2", beta=0.95),
+    spec("DC2", beta=0.7, alpha=0.6),
+    spec("TC3", beta=0.8),
+    spec("DC3", beta=0.9, alpha=0.5),
+    spec("TC6", beta=0.5),
+    spec("HF", beta=0.7),
+    spec("HC2", beta=0.85, alpha=0.5),
+    spec("HF3", beta=0.8),
+    spec("HC3", beta=0.99, alpha=0.5),
+]
+
+
+@pytest.mark.parametrize("T", [1, 2, 3, 50, 200])
+@pytest.mark.parametrize("sp", ORACLE_SPECS, ids=lambda s: s.to_kv())
+@pytest.mark.parametrize("envelope", [None, 0.5], ids=["own", "wrong"])
+def test_stationary_part_matches_loop_oracle_bitwise(sp, T, envelope):
+    try:
+        want = loop_stationary(sp, T, envelope)
+    except DecompositionError as exc:
+        with pytest.raises(DecompositionError, match=str(exc).split(";")[0]):
+            stationary_part(sp, T, envelope=envelope)
+        return
+    sk = stationary_part(sp, T, envelope=envelope)
+    assert sk.w.tobytes() == want[0].tobytes()
+    assert sk.spread == want[1]
+
+
+def test_loop_oracle_sees_both_refusals():
+    # the bitwise comparison above covers a wrong envelope and an underflow
+    with pytest.raises(DecompositionError, match="not stationary"):
+        loop_stationary(spec("TC", beta=0.8), 50, 0.5)
+    with pytest.raises(DecompositionError, match="underflow"):
+        loop_stationary(spec("SS", gamma=0.3), 200)
+
+
+def _ar1_shifted(c, n=50, rho=0.5):
+    """AR(1) autocovariance with ``w(0)`` lowered until the Toeplitz
+    matrix's smallest eigenvalue is ``-c w(0)``, and that eigenvalue."""
+    w = rho ** np.arange(n)
+    lam = np.linalg.eigvalsh(toeplitz(w))[0]
+    w[0] -= (lam + c) / (1.0 + c)
+    return w, np.linalg.eigvalsh(toeplitz(w))[0]
+
+
+def test_toeplitz_just_below_the_psd_tolerance_is_refused():
+    w, eig = _ar1_shifted(1.5e-8)
+    assert -2e-8 * w[0] < eig < -1e-8 * w[0]
+    with pytest.raises(ParameterError, match=f"min eigenvalue {eig:.3e}"):
+        StationaryKernel(w)
+
+
+def test_toeplitz_just_above_the_psd_tolerance_passes():
+    w, eig = _ar1_shifted(0.5e-8)
+    assert -1e-8 * w[0] < eig < 0.0
+    StationaryKernel(w)
+
+
+@pytest.mark.parametrize("w", [np.ones(5), np.cos(0.3 * np.arange(50))],
+                         ids=["constant", "cosine"])
+def test_singular_psd_autocovariance_passes(w):
+    # rank 1 and rank 2 Toeplitz matrices: PSD with zero eigenvalues
+    assert np.linalg.matrix_rank(toeplitz(w)) < w.size
+    assert np.array_equal(StationaryKernel(w).w, w)
+
+
 def test_stationary_kernel_validation():
     with pytest.raises(ParameterError):
         StationaryKernel(np.array([-1.0, 0.0]))
@@ -165,6 +265,18 @@ def test_reconstruction_recovers_autocovariance():
         # w(tau) = (1/pi) * int_0^pi phi(theta) cos(theta tau) dtheta
         val = np.trapezoid(p.phi * np.cos(p.theta * tau), p.theta) / np.pi
         assert val == pytest.approx(sk.w[tau], abs=1e-6)
+
+
+@pytest.mark.parametrize("M", [2, 64, 512])
+@pytest.mark.parametrize("T", [1, 2, 50, 200])
+def test_psd_equals_direct_cosine_sum_bitwise(T, M):
+    sk = stationary_part(spec("DC2", beta=0.8, alpha=0.6), T=T)
+    p = psd(sk, M=M)
+    theta = np.linspace(0.0, np.pi, M)
+    tau = np.arange(1, T)
+    want = sk.w[0] + 2.0 * np.cos(np.outer(theta, tau)) @ sk.w[1:]
+    assert p.theta.tobytes() == theta.tobytes()
+    assert p.phi.tobytes() == want.tobytes()
 
 
 def test_psd_validation():
