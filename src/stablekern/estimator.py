@@ -652,6 +652,8 @@ def fit_hyperparameters(
             point = list(point)
             if len(point) != len(names):
                 raise ParameterError(f"seed {point} does not match parameters {names}")
+            if not (math.isfinite(point[0]) and point[0] > 0):
+                raise ParameterError(f"seed {point}: lam must be finite and positive")
             seed_values.append(point)
     if not seed_values:
         raise OptimizationError("no seed points provided")

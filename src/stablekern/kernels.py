@@ -23,11 +23,18 @@ series kernel is built from its certified first row alone:
 ``K[t, s] = beta**(min(t, s) - 1) * K[1, 1 + |t - s|]``.  The row costs
 O(n T) time and O(n + T) memory for a truncation after ``n`` terms; each
 entry carries a rigorous geometric tail bound at ``_SERIES_TOL``.  Every
-series (first row, leading variance, trailing block) starts at the length
+series (first row, leading variance, trailing corner) starts at the length
 where the tail of ``beta**j`` times the binomial growth of the inverse
 series would certify, and doubles at most ``_MAX_DOUBLINGS`` times and never
 past ``_MAX_SERIES_TERMS`` terms; a series that still does not certify
 raises ``ConditioningError``.
+
+``K^{-1}`` has one route, the banded factor ``L`` of :func:`inverse_cholesky`
+(``K^{-1} = L L^T``); :func:`build_inverse` multiplies it out.  A series
+factor takes its trailing ``p x p`` corner from a QR of the certified
+windows and is refused where the corner's estimated backward error exceeds
+``_CORNER_TOL``, which bounds its log-determinant error by about ``p *
+_CORNER_TOL``.
 
 Entries use the 1-based convention ``K[t, s]`` for ``t, s = 1..T``; arrays
 returned to callers are ordinary 0-based numpy arrays.
@@ -42,7 +49,7 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.linalg.lapack import dpotrf, dtrtri
+from scipy.linalg.lapack import dgeqrf, dtrcon, dtrtri
 from scipy.signal import lfilter
 from scipy.special import gammainccinv
 
@@ -115,6 +122,15 @@ _MAX_DOUBLINGS = 6
 # order 6 and 176 MiB for order 10, and takes 0.5-0.9 s for orders 3-6 on a
 # 2-vCPU x86-64 VM.  Every beta <= 0.999 starts at <= 58k terms (order 6).
 _MAX_SERIES_TERMS = 2 ** 20
+
+# Largest estimated backward error ``eps / rcond(U)`` of the trailing corner
+# of an order >= 3 factor (see :func:`_series_corner`).  Against a 90-digit
+# C0, over TC3-TC6, DC3, DC6 and HC3 (alpha = 0.5) at the kernel-sweep betas
+# 0.3 .. 0.999 and T = 50, 200, every accepted corner has |L22^T K22 L22 -
+# I|_2 <= 3.2e-4 (DC6 at beta = 0.99, estimate 1.0e-4); the refused ones (TC5
+# at 0.999, TC6 at 0.99 and 0.999, DC6 at 0.999) measure 1.6e-3 to 18, with
+# estimates 2.8e-3 to 4.
+_CORNER_TOL = 1e-3
 
 
 def _check_delta(family: str, delta) -> None:
@@ -399,17 +415,6 @@ _SERIES = {
 }
 
 
-def _operator_coefficients(spec: KernelSpec) -> np.ndarray:
-    """Polynomial coefficients of the banded operator whose weighted Gram
-    factorizes the inverse kernel (``F**delta`` or its DC-type mixture)."""
-    stem, p = _CANONICAL[spec.family, spec.delta]
-    if stem not in _SERIES:
-        raise DecompositionError(
-            f"family {spec.family} has no banded Toeplitz-operator decomposition"
-        )
-    return _SERIES[stem][0](p, spec.alpha)
-
-
 def _inverse_series(spec: KernelSpec, n: int) -> np.ndarray:
     """First ``n`` coefficients of the inverse operator."""
     stem, p = _CANONICAL[spec.family, spec.delta]
@@ -502,6 +507,35 @@ def _order2_entries(T: int, beta: float, alpha: float) -> np.ndarray:
     return _powers(beta, T)[mx] * vals
 
 
+def _series_sums(spec: KernelSpec, T: int, n: int):
+    """``(z, s)`` of a series truncated after ``n`` terms, or ``None`` where
+    its tail is not certified: the inverse series ``z`` to ``n + max(T, 2)``
+    terms and ``s[d] = sum_{j < n} beta^(j+1) z_j z_{j+d}``, ``d = 0 .. T-1``.
+
+    Every ``|z_{j+1} / z_j|`` is at most ``q = |z_{n+1} / z_n|`` for ``j >=
+    n``: ``|z|`` is log-concave (binomial coefficients, alone or convolved
+    with ``|alpha|**j``), so its ratios do not increase.  Hence the neglected
+    tail of ``s[d]`` is at most ``beta^(n+1) |z_n| |z_{n+d}| / (1 - beta
+    q^2)``, and each ``s[d]`` must certify to ``_SERIES_TOL``.
+    """
+    beta = spec.beta
+    z = _inverse_series(spec, n + max(T, 2))
+    zt = np.abs(z[n:])  # |z_n|, |z_{n+1}|, ...
+    q = zt[1] / zt[0]
+    rho = beta * q * q
+    if not rho < 1.0:
+        return None
+    w = beta ** np.arange(1, n + 1, dtype=float)
+    s = np.empty(T)
+    s[0] = np.dot(w, z[:n] ** 2)
+    if T > 1:
+        s[1:] = np.correlate(z[1 : n + T - 1], w * z[:n], "valid")
+    tail = beta ** (n + 1) * (zt[0] * zt[:T]) / (1.0 - rho)
+    if not (tail < _SERIES_TOL * np.abs(s)).all():
+        return None
+    return z, s
+
+
 def _first_row(spec: KernelSpec, T: int) -> np.ndarray:
     """Certified first row ``r[d] = K[1, 1 + d]``, ``d = 0 .. T-1``, of a
     series kernel:
@@ -509,34 +543,11 @@ def _first_row(spec: KernelSpec, T: int) -> np.ndarray:
         r[d] = kappa * beta^(d+1) * sum_j beta^j z_j z_{j+d},
 
     with ``z`` the inverse series, in O(n T) time and O(n + T) memory for a
-    truncation after ``n`` terms.  Every ``|z_{j+1} / z_j|`` is at most
-    ``q = |z_{n+1} / z_n|`` for ``j >= n``: ``|z|`` is log-concave (binomial
-    coefficients, alone or convolved with ``|alpha|**j``), so its ratios do
-    not increase.  Hence the neglected tail of entry ``d`` is at most
-    ``beta^(n+1) |z_n| |z_{n+d}| / (1 - beta q^2)`` in units of
-    ``kappa * beta^d``; each entry must certify to ``_SERIES_TOL``.
+    truncation after ``n`` terms (:func:`_series_sums`).
     """
-    beta = spec.beta
-    kappa = normalization_kappa(spec)
-
-    def attempt(n):
-        z = _inverse_series(spec, n + max(T, 2))
-        zt = np.abs(z[n:])  # |z_n|, |z_{n+1}|, ...
-        q = zt[1] / zt[0]
-        rho = beta * q * q
-        if not rho < 1.0:
-            return None
-        w = beta ** np.arange(1, n + 1, dtype=float)
-        s = np.empty(T)
-        s[0] = np.dot(w, z[:n] ** 2)
-        if T > 1:
-            s[1:] = np.correlate(z[1 : n + T - 1], w * z[:n], "valid")
-        tail = beta ** (n + 1) * (zt[0] * zt[:T]) / (1.0 - rho)
-        if not (tail < _SERIES_TOL * np.abs(s)).all():
-            return None
-        return kappa * beta ** np.arange(T, dtype=float) * s
-
-    return _certified(spec, attempt, f"first row of {spec.display_name}")
+    _, s = _certified(spec, lambda n: _series_sums(spec, T, n),
+                      f"first row of {spec.display_name}")
+    return normalization_kappa(spec) * spec.beta ** np.arange(T, dtype=float) * s
 
 
 def _series_kernel(spec: KernelSpec, T: int) -> np.ndarray:
@@ -545,60 +556,6 @@ def _series_kernel(spec: KernelSpec, T: int) -> np.ndarray:
     beta * K[t, s]``."""
     _, mn, d = _grid(T)
     return _powers(spec.beta, T - 1)[mn - 1] * _first_row(spec, T)[d]
-
-
-# ---------------------------------------------------------------------------
-# Trailing block of the finite-dimensional decomposition
-# ---------------------------------------------------------------------------
-
-def _trailing_block_inverse_series(spec: KernelSpec, T: int) -> np.ndarray:
-    """``B_T^{-1}`` for arbitrary order, via the cancellation-free tail Gram
-
-        B^{-1} = diag(beta^{T-p+1..T}) + beta^T * sum_i beta^i v_i v_i^T
-
-    where ``v_i`` collects the truncated binomial windows of the operator
-    acting past row ``T``.  Algebraically equal to the trailing ``p x p``
-    block of ``(F^d)^T K F^d / kappa`` but immune to the catastrophic
-    cancellation of forming that product at ``beta`` near 1.
-    """
-    beta = spec.beta
-    a = _operator_coefficients(spec)
-    p = len(a) - 1
-    lead = np.diag(beta ** np.arange(T - p + 1, T + 1, dtype=float))
-    # -v_i[c] = sum_{k <= c} a[p - c + k] z_{i-1-k}: the windows
-    # (z_{i-p}, .., z_{i-1}) times the Hankel matrix H[j, c] = a[2p-1-j-c]
-    # (zero past a[p]), with z_j = 0 for j < 0; the sign cancels in G
-    k = np.arange(p)
-    H = np.concatenate((a, np.zeros(p)))[2 * p - 1 - np.add.outer(k, k)]
-
-    def attempt(n):
-        z = np.concatenate((np.zeros(p), _inverse_series(spec, n + p)))
-        V = sliding_window_view(z[1 : n + p], p) @ H
-        wts = beta ** np.arange(1, n + 1, dtype=float)
-        G = (V.T * wts) @ V
-        r = z[-1] / z[-2]
-        rho = beta * r * r
-        if rho < 1.0 and beta ** (n + 1) * z[-1] ** 2 / (1.0 - rho) < _SERIES_TOL * max(
-            G.max(), 1.0
-        ):
-            return lead + beta ** float(T) * G
-        return None
-
-    return _certified(spec, attempt, f"trailing block of {spec.display_name}")
-
-
-def _order1_trailing(spec: KernelSpec, T: int) -> np.ndarray:
-    return np.array([[normalization_kappa(spec) * spec.beta ** -float(T)]])
-
-
-def _order2_trailing(T: int, b: float, a: float) -> np.ndarray:
-    scale = (1.0 - a * b) * b ** -float(T)
-    return scale * np.array(
-        [
-            [b * (1.0 + a * b), a * b * b * (1.0 + a)],
-            [a * b * b * (1.0 + a), (1.0 - b - a * a * b) * (1.0 - a * b) + 2.0 * a * a * b * b],
-        ]
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -687,33 +644,68 @@ def _ss_factor(spec: KernelSpec, T: int) -> tuple[np.ndarray, float]:
     return bands, -2.0 * np.sum(np.log(bands[0]))
 
 
-def _series_factor(spec: KernelSpec, T: int) -> tuple[np.ndarray, float]:
-    """Bands of an order ``p >= 3`` factor: the graded diagonal part of the
-    operator, then ``G_p chol(B)`` for the trailing ``p`` columns."""
+def _series_corner(spec: KernelSpec) -> np.ndarray:
+    """``U`` upper triangular with a positive diagonal and ``J C0 J = U^T U``,
+    where ``C0 = K[:p, :p]`` of the order-``p`` series kernel ``spec`` and
+    ``J`` reverses the order of ``p`` entries; refused where its estimated
+    backward error exceeds ``_CORNER_TOL``.
+
+    ``C0 = W^T W`` is the Gram of the windows ``W[m, t] = beta^((m+1)/2)
+    z_{m-t}``, ``m = 0 .. n+p-2``, which hold every term of the certified
+    sums ``s[0 .. p-1]`` of :func:`_series_sums` (``C0[t, t+d] = beta^t
+    s[d]``), so their tail is no larger.  ``U`` is the R factor of the
+    column-flipped ``W J``, taken without forming the Gram: its backward
+    error ``|U^-T J C0 J U^-1 - I|`` is about ``eps cond(U) = eps
+    sqrt(cond(C0))``, estimated as ``eps / rcond(U)`` (1-norm, ``dtrcon``).
+    """
     p = spec.bandwidth
+
+    def attempt(n):
+        sums = _series_sums(spec, p, n)
+        if sums is None:
+            return None
+        # row m of the view holds z_{m-p+1} .. z_m: the windows, flipped
+        z = np.concatenate((np.zeros(p - 1), sums[0][: n + p - 1]))
+        W = np.empty((n + p - 1, p), order="F")
+        np.multiply(sliding_window_view(z, p), spec.beta ** (np.arange(1, n + p) / 2.0)[:, None],
+                    out=W)
+        return dgeqrf(W, overwrite_a=1)[0][:p]
+
+    U = np.triu(_certified(spec, attempt, f"trailing corner of {spec.display_name}"))
+    U *= np.sign(np.diag(U))[:, None]
+    rcond = dtrcon(U)[0]
+    error = np.finfo(float).eps / rcond if rcond > 0 else math.inf
+    if not error <= _CORNER_TOL:
+        raise ConditioningError(
+            f"trailing {p}x{p} corner of {spec.display_name} at beta={spec.beta}: "
+            f"estimated backward error {error:.1e} exceeds {_CORNER_TOL:g}"
+        )
+    return U
+
+
+def _series_factor(spec: KernelSpec, T: int) -> tuple[np.ndarray, float]:
+    """Bands of an order ``p >= 3`` factor: the graded operator columns
+    ``beta^(-t/2) a`` for ``t = 1 .. T-p``, then the trailing ``p x p``
+    corner ``L22`` with ``L22 L22^T = K22^-1``.
+
+    The kernel is exponentially convex, so ``K22 = beta^(T-p) C0`` and, with
+    ``J C0 J = U^T U`` from :func:`_series_corner`, ``L22 = beta^(-(T-p)/2)
+    J U^-1 J``.  Every corner accepted over the grid swept for
+    ``_CORNER_TOL`` measured ``|L22^T K22 L22 - I| < _CORNER_TOL``, which
+    puts the log-determinant within about ``p * _CORNER_TOL``.
+    """
+    stem, p = _CANONICAL[spec.family, spec.delta]
     if T < p + 2:
         raise DimensionError(
             f"order-{p} families need dim >= delta + 2 = {p + 2}; got {T}"
         )
-    a = _operator_coefficients(spec)
-    Binv = _trailing_block_inverse_series(spec.base(), T)
-    # chol(B) of B = Binv^{-1} with one factorization and no solve: the
-    # flipped J Binv J = M M^T gives B = (J M^{-T} J)(J M^{-T} J)^T, and
-    # J M^{-T} J is lower triangular with a positive diagonal
-    M, info = dpotrf(Binv[::-1, ::-1], lower=1)
-    if info == 0:
-        Minv, info = dtrtri(M, lower=1)
-    if info != 0:
-        raise ConditioningError(
-            f"trailing {p}x{p} block of {spec.display_name} is numerically indefinite"
-        )
-    CB = Minv.T[::-1, ::-1]
+    Uinv = dtrtri(_series_corner(spec), lower=0)[0]
     bands = np.zeros((p + 1, T))  # series kernels are unnormalized: kappa = 1
-    bands[:, : T - p] = np.outer(a, spec.beta ** (-np.arange(1, T - p + 1, dtype=float) / 2.0))
-    # trailing columns: G_p CB with G_p the leading p x p block of the
-    # operator, lower Toeplitz in a[0 .. p-1]
+    bands[:, : T - p] = np.outer(_SERIES[stem][0](p, spec.alpha),
+                                 spec.beta ** (-np.arange(1, T - p + 1, dtype=float) / 2.0))
     _, row, col = _band_index(p, p - 1)
-    bands[row - col, T - p + col] = (_banded_operator_dense(a, p) @ CB)[row, col]
+    L22 = spec.beta ** (-(T - p) / 2.0) * Uinv[::-1, ::-1]
+    bands[row - col, T - p + col] = L22[row, col]
     return bands, -2.0 * float(np.sum(np.log(bands[0])))
 
 
@@ -724,19 +716,18 @@ def _series_factor(spec: KernelSpec, T: int) -> tuple[np.ndarray, float]:
 @dataclass(frozen=True)
 class _Record:
     """Formulas of one ``(stem, order)``: ``entries(spec, T)`` (unflipped),
-    ``factor(spec, T) -> (bands of L, log det K)``, ``k11(spec) = K[1, 1]``,
-    ``kappa(spec)`` and ``trailing(spec, T) = B_T`` (none for DI and SS)."""
+    ``factor(spec, T) -> (bands of L, log det K)``, ``k11(spec) = K[1, 1]``
+    and ``kappa(spec)``; :func:`build_inverse` is ``L L^T`` of the factor."""
 
     entries: object
     factor: object
     k11: object
     kappa: object = lambda s: 1.0
-    trailing: object = None
 
 
 # Closed forms.  TC2 keeps its own entries and kappa: the DC2 forms at
 # alpha = 1 differ from them in the last bit (entries at 776 of 800 (beta, T)
-# points, kappa at 109 of 400 betas).  Its trailing block is DC2's at alpha = 1.
+# points, kappa at 109 of 400 betas).
 _RECORDS = {
     ("DI", 0): _Record(
         entries=lambda s, T: np.diag(_powers(s.beta, T)[1:]),
@@ -754,21 +745,18 @@ _RECORDS = {
         factor=lambda s, T: _order1_bands(T, s.beta, 1.0, 1.0 - s.beta),
         k11=lambda s: float(s.beta),
         kappa=lambda s: 1.0 - s.beta,
-        trailing=_order1_trailing,
     ),
     ("DC", 1): _Record(
         entries=lambda s, T: _powers(s.alpha, T - 1)[_grid(T)[2]] * _powers(s.beta, T)[_grid(T)[0]],
         factor=lambda s, T: _order1_bands(T, s.beta, s.alpha, _dc1_kappa(s)),
         k11=lambda s: float(s.beta),
         kappa=_dc1_kappa,
-        trailing=_order1_trailing,
     ),
     ("TC", 2): _Record(
         entries=_tc2_entries,
         factor=lambda s, T: _order2_bands(T, s.beta, 1.0),
         k11=lambda s: float(s.beta * (1.0 + s.beta)),
         kappa=lambda s: (1.0 - s.beta) ** 3,
-        trailing=lambda s, T: _order2_trailing(T, s.beta, 1.0),
     ),
     ("DC", 2): _Record(
         entries=lambda s, T: _order2_entries(T, s.beta, s.alpha),
@@ -777,7 +765,6 @@ _RECORDS = {
         kappa=lambda s: (
             (1.0 - s.beta) * (1.0 - s.alpha * s.beta) * (1.0 - s.alpha * s.alpha * s.beta)
         ),
-        trailing=lambda s, T: _order2_trailing(T, s.beta, s.alpha),
     ),
 }
 
@@ -787,7 +774,6 @@ _SERIES_RECORD = _Record(
     entries=lambda s, T: _series_kernel(s.base(), T),
     factor=_series_factor,
     k11=lambda s: float(_first_row(s.base(), 1)[0]),
-    trailing=lambda s, T: np.linalg.inv(_trailing_block_inverse_series(s.base(), T)),
 )
 
 
@@ -835,47 +821,30 @@ def _sign_flip(spec: KernelSpec, K: np.ndarray) -> np.ndarray:
     return np.where(_grid(len(K))[2] % 2 == 1, -K, K)
 
 
-def _banded_operator_dense(a: np.ndarray, T: int) -> np.ndarray:
-    _, row, col = _band_index(T, min(len(a), T) - 1)
-    G = np.zeros((T, T))
-    G[row, col] = a[row - col]
-    return G
-
-
 @single_threaded
 def build_inverse(spec: KernelSpec, dim: int) -> np.ndarray:
-    """Assemble ``K^{-1}`` from the decomposition ``kappa^{-1} G D_T G^T``.
+    """``K^{-1} = L L^T`` from the factor of :func:`inverse_cholesky`, so it
+    is refused exactly where the factor is, and a series kernel's inverse
+    carries the factor's tolerance.
 
-    Entries with ``|t-s| > bandwidth`` are exact zeros by construction: the
-    factors carry structural zeros, never cancellation.  ``SS`` has no banded
-    decomposition and is rejected.
+    One triangle is summed band by band and mirrored: the result is exactly
+    symmetric, and entries with ``|t-s| > bandwidth`` are exact zeros.
+    ``SS`` has no banded inverse and is rejected.
     """
-    T = _dimension(dim)
     if spec.family == "SS":
         raise DecompositionError("SS kernel has no banded inverse decomposition")
-    b = spec.beta
-    if spec.family == "DI":
-        return np.diag(b ** -np.arange(1, T + 1, dtype=float))
-
-    p = spec.bandwidth
-    if p > 2 and T < p + 2:
-        raise DimensionError(
-            f"order-{p} families need dim >= delta + 2 = {p + 2}; got {T}"
-        )
-    kappa = normalization_kappa(spec)
-    a = _operator_coefficients(spec)
-    if T <= p:
-        # no room for the graded diagonal part; invert the dense kernel's
-        # trailing logic through the factor instead
-        L = inverse_cholesky(spec.base(), T).to_dense()
-        Kinv = L @ L.T
-    else:
-        D = np.zeros((T, T))
-        D[T - p :, T - p :] = _record(spec).trailing(spec, T)
-        D[: T - p, : T - p] = np.diag(b ** -np.arange(1, T - p + 1, dtype=float))
-        G = _banded_operator_dense(a, T)
-        Kinv = (G @ D @ G.T) / kappa
-    return _sign_flip(spec, Kinv)
+    factor = inverse_cholesky(spec, dim)
+    T, L = factor.dim, factor.bands
+    q = min(factor.bandwidth, T - 1)
+    # band d of L L^T: (L L^T)[j+d, j] = sum_e L[j+d, j-e] L[j, j-e]
+    prod = np.zeros_like(L)
+    for d in range(q + 1):
+        for e in range(q + 1 - d):
+            prod[d, e:] += L[e + d, : T - e] * L[e, : T - e]
+    flat, row, col = _band_index(T, factor.bandwidth)
+    Kinv = np.zeros((T, T))
+    Kinv[row, col] = Kinv[col, row] = prod.ravel()[flat]
+    return Kinv
 
 
 @single_threaded
@@ -884,9 +853,12 @@ def inverse_cholesky(spec: KernelSpec, dim: int) -> BandedFactor:
     log-determinant.
 
     Orders 1 and 2 fill the bands from closed forms (including the corrected
-    trailing entries of the finite-dimensional factor); higher orders build
-    the factor from the graded diagonal and the Cholesky of the trailing
-    block; ``SS`` falls back to a dense factor of bandwidth ``dim - 1``.
+    trailing entries of the finite-dimensional factor); higher orders take
+    the graded operator columns and a trailing corner from a QR of the
+    series windows (:func:`_series_factor`), refused with
+    ``ConditioningError`` where the corner's estimated backward error
+    exceeds ``_CORNER_TOL``; ``SS`` falls back to a dense factor of
+    bandwidth ``dim - 1``.
     Sign-flipped families reuse the factor of their base family via the
     similarity ``L -> S L S``, which flips the sign of every odd band.
     """

@@ -71,10 +71,12 @@ def test_kernel_domain_error_exit_1(capsys):
     assert "beta" in capsys.readouterr().err
 
 
-def test_kernel_ill_conditioned_factor_exit_1(capsys):
-    # the order-6 trailing block is not numerically positive definite here
+@pytest.mark.parametrize("mode", ["--logdet", "--cholesky", "--inverse"])
+def test_kernel_ill_conditioned_factor_exit_1(capsys, mode):
+    # the order-6 trailing corner's estimated backward error is too large
+    # here; the inverse is the factor's L L', so it is refused alike
     code = run_cli("kernel", "--family", "TC6", "--beta", "0.99", "--dim", "50",
-                   "--logdet")
+                   mode)
     assert code == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("error:") and "Traceback" not in captured.err
@@ -83,7 +85,7 @@ def test_kernel_ill_conditioned_factor_exit_1(capsys):
 
 def test_kernel_dc6_near_unit_decay_is_bounded():
     # the series of DC6 at beta = 0.999 certifies within its doubling cap;
-    # its trailing block factor is refused with an error, not a traceback
+    # its trailing corner is refused with an error, not a traceback
     src = str(Path(stablekern.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     argv = [sys.executable, "-m", "stablekern.cli", "kernel", "--family", "DC6",

@@ -8,13 +8,14 @@ hand-derived special cases.
 
 import io
 import json
+import math
 import warnings
 
 import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from stablekern import estimator
+from stablekern import estimator, kernels, simulation
 from stablekern.errors import (
     ConditioningError,
     DecompositionError,
@@ -222,6 +223,55 @@ def test_nll_identity_randomized_sweep():
     assert worst < 1e-8
 
 
+def _mpmath_reduced_nll(R0, p, beta, lam, sigma2, N, dps=50):
+    """The likelihood ``nll_qr`` computes, at ``dps`` digits, from the reduced
+    data ``R0 = [[R_A, r], [0, rho]]``: ``rho^2 / sigma2 + r' G^-1 r + (N -
+    T) log sigma2 + log det G`` with ``G = sigma2 I + lam R_A K R_A'``.  The
+    TC``p`` kernel ``K[t, s] = beta^min(t, s) r[|t - s|]`` is summed from its
+    exact integer inverse series ``z_j = C(j + p - 1, p - 1)``."""
+    mp = pytest.importorskip("mpmath")
+    T = R0.shape[0] - 1
+    with mp.workdps(dps):
+        b = mp.mpf(beta)
+        row, bj, j = [mp.mpf(0)] * T, b, 0
+        while True:
+            zj = math.comb(j + p - 1, p - 1)
+            for d in range(T):
+                row[d] += bj * zj * math.comb(j + d + p - 1, p - 1)
+            if j > 10 and bj * zj * zj < mp.mpf(10) ** (-dps - 5) * row[0]:
+                break
+            bj, j = bj * b, j + 1
+        K = mp.matrix(T, T)
+        for t in range(T):
+            for s in range(T):
+                K[t, s] = b ** min(t, s) * b ** abs(t - s) * row[abs(t - s)]
+        RA = mp.matrix(R0[:T, :T].tolist())
+        s2 = mp.mpf(sigma2)
+        C = mp.cholesky(s2 * mp.eye(T) + mp.mpf(lam) * RA * K * RA.T)
+        x = mp.lu_solve(C, mp.matrix(R0[:T, T].tolist()))
+        return (mp.mpf(R0[T, T]) ** 2 / s2 + sum(xi ** 2 for xi in x)
+                + (N - T) * mp.log(s2) + 2 * sum(mp.log(C[i, i]) for i in range(T)))
+
+
+@pytest.mark.parametrize("beta, rtol", [(0.79, 1e-10), (0.9, 1e-9)])
+def test_tc6_qr_likelihood_matches_mpmath(beta, rtol):
+    # run 1 of study 1 at seed 0, unit-scaled lam = 1, T = 50: the order-6
+    # trailing corner once put the QR likelihood off by 8.9e-9 at beta =
+    # 0.79 and 1.1e-3 at beta = 0.9
+    rng = simulation._run_rng(0, 1)
+    system = simulation.sample_impulse_response(1, rng, T=50)
+    u = simulation.generate_input(500, 0.2, rng)
+    y, _ = simulation.simulate_output(system, u, 1.0, rng)
+    N, T = len(y), 50
+    sigma2 = estimator._default_sigma2(Dataset(u, y), T)
+    R0 = estimator._reduce_data(build_regressor(u, N, T), y)
+    sp = spec("TC6", beta=beta)
+    lam = 1.0 / leading_variance(sp)
+    got = estimator._nll_from_stack(R0, inverse_cholesky(sp, T), lam, sigma2, N)[0]
+    want = _mpmath_reduced_nll(R0, 6, beta, lam, sigma2, N)
+    assert abs(float((got - want) / want)) <= rtol
+
+
 @pytest.mark.parametrize("N", [5, 12, 13])
 @pytest.mark.parametrize(
     "sp", [spec("TC", beta=0.8), spec("DC2", beta=0.7, alpha=0.4), spec("TC3", beta=0.6),
@@ -374,10 +424,8 @@ def _central_difference(f, z, h=1e-4):
     return grad
 
 
-# three interior box points per family: (z_lam, z_decay[, z_alpha]).  The
-# decays (0.12, 0.27, 0.38) stay where the order-6 trailing corner is
-# accurate: from beta = 0.5 on, the TC6 likelihood itself is rough at the
-# 1e-6 level of its differences (ROADMAP item 3)
+# three interior box points per family: (z_lam, z_decay[, z_alpha]), at
+# decays 0.12, 0.27 and 0.38
 GRADIENT_POINTS = ((-0.5, -2.0, -0.8), (0.3, -1.0, 0.4), (1.0, -0.5, 1.2))
 
 
@@ -439,13 +487,16 @@ def test_refused_points_give_inf_or_one_sided_differences(monkeypatch):
     monkeypatch.setattr(estimator, "inverse_cholesky", refuse_above(0.0))
     f2, none = like.value_and_grad(z)
     assert f2 == np.inf and np.array_equal(none, np.zeros(2))
-    # a refused centre: TC6 at beta = 0.999 fails its trailing block
+    # a refused centre: TC6 at beta = 0.999 fails its trailing corner
     f3, grad3 = _likelihood("TC6", ds, T=50).value_and_grad(np.array([0.0, 40.0]))
     assert f3 == np.inf and np.all(np.isfinite(grad3))
 
 
-def test_fit_runs_through_refused_grid_points_without_warnings():
-    # the default grid's beta = 0.92 and 0.975 are refused for TC6 at T = 50
+def test_fit_runs_through_refused_grid_points_without_warnings(monkeypatch):
+    # a corner tolerance of 1e-8 refuses the default grid's beta = 0.92 and
+    # 0.975 for TC6 (estimated backward errors 8e-8 and 3e-5), but not 0.8
+    monkeypatch.setattr(kernels, "_CORNER_TOL", 1e-8)
+    kernels._cached_factor.cache_clear()
     ds, _ = _synthetic_dataset(N=300)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -557,6 +608,9 @@ def test_fit_rejects_bad_templates_and_dimensions():
         fit_hyperparameters(ds, "TC6", T=6)
     with pytest.raises(ParameterError):
         fit_hyperparameters(ds, "TC", T=10, seeds=[(1.0, 0.5, 0.5)])
+    for lam in (-1.0, 0.0):
+        with pytest.raises(ParameterError, match=r"seed \[" + str(lam)):
+            fit_hyperparameters(ds, "TC", T=10, seeds=[[lam, 0.5]], use_default_grid=False)
 
 
 def test_fit_raises_when_everything_overflows():
