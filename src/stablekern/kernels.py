@@ -7,7 +7,7 @@ FIR impulse-response estimation and exposes their structural decompositions:
 * second-order families ``TC2``/``DC2`` with closed-form entries, inverses,
   Cholesky factors and determinants;
 * arbitrary-order families ``TCd``/``DCd`` defined through inverses of
-  banded Toeplitz operators, evaluated by certified truncated series;
+  banded Toeplitz operators, with closed-form entries too;
 * high-frequency mirrors ``HFd``/``HCd`` obtained by the alternating-sign
   similarity ``S K S`` with ``S = diag(1, -1, 1, ...)``.
 
@@ -18,23 +18,19 @@ orders >= 3 share ``_SERIES_RECORD``, and ``_SERIES`` holds each stem's
 operator coefficients and inverse series; so ``TC`` and ``TCd(1)``, or
 ``HFd`` and ``TCd``, compute alike.  :func:`parse_family` reads every name.
 
-The kernels are exponentially convex, ``K[t+1, s+1] = beta * K[t, s]``, so a
-series kernel is built from its certified first row alone:
-``K[t, s] = beta**(min(t, s) - 1) * K[1, 1 + |t - s|]``.  The row costs
-O(n T) time and O(n + T) memory for a truncation after ``n`` terms; each
-entry carries a rigorous geometric tail bound at ``_SERIES_TOL``.  Every
-series (first row, leading variance, trailing corner) starts at the length
-where the tail of ``beta**j`` times the binomial growth of the inverse
-series would certify, and doubles at most ``_MAX_DOUBLINGS`` times and never
-past ``_MAX_SERIES_TERMS`` terms; a series that still does not certify
-raises ``ConditioningError``.
+The kernels are exponentially convex, ``K[t+1, s+1] = beta * K[t, s]``, so
+an order >= 3 kernel is built from its first row alone, in closed form from
+Newton differences (:func:`_first_row`).  Only what has no closed form, the
+trailing ``p x p`` corner of the factor and DC's lower differences, is a
+certified series, memoized per spec (:func:`_series`); it starts at the
+length where the tail would certify to ``_SERIES_TOL``, doubles at most
+``_MAX_DOUBLINGS`` times and never past ``_MAX_SERIES_TERMS`` terms, and
+otherwise raises ``ConditioningError``.
 
 ``K^{-1}`` has one route, the banded factor ``L`` of :func:`inverse_cholesky`
 (``K^{-1} = L L^T``); :func:`build_inverse` multiplies it out.  A series
-factor takes its trailing ``p x p`` corner from a QR of the certified
-windows and is refused where the corner's estimated backward error exceeds
-``_CORNER_TOL``, which bounds its log-determinant error by about ``p *
-_CORNER_TOL``.
+corner is refused where its estimated backward error exceeds
+``_CORNER_TOL``, and a factor where ``L`` or ``L L^T`` would overflow.
 
 Entries use the 1-based convention ``K[t, s]`` for ``t, s = 1..T``; arrays
 returned to callers are ordinary 0-based numpy arrays.
@@ -45,10 +41,10 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 from scipy.linalg.lapack import dgeqrf, dtrcon, dtrtri
 from scipy.signal import lfilter
 from scipy.special import gammainccinv
@@ -59,7 +55,6 @@ from .errors import (
     DecompositionError,
     DimensionError,
     ParameterError,
-    SingularOperatorError,
 )
 
 __all__ = [
@@ -68,7 +63,6 @@ __all__ = [
     "KernelSpec",
     "parse_family",
     "BandedFactor",
-    "toeplitz_inverse",
     "build_kernel",
     "build_inverse",
     "inverse_cholesky",
@@ -82,9 +76,8 @@ __all__ = [
 #: order ``delta``; the remaining tags are fixed-order families.
 FAMILIES = ("DI", "TC", "DC", "SS", "TCd", "DCd", "HFd", "HCd")
 
-#: Highest admitted order ``delta``.  A certified-series attempt holds about
-#: 16 (delta + 1) bytes per term, so one attempt at ``_MAX_SERIES_TERMS``
-#: peaks at 176 MiB for order 10 (tracemalloc).
+#: Highest admitted order ``delta``; one series attempt at order 10 peaks at
+#: 137 MiB (see ``_MAX_SERIES_TERMS``).
 MAX_ORDER = 10
 
 # family -> (stem, order, hyperparameters); order None is taken from delta,
@@ -118,18 +111,19 @@ _MAX_DOUBLINGS = 6
 
 # Longest truncation a series may try; the start length grows like
 # 1 / (1 - beta), so without it a beta near 1 exhausts memory.  One attempt at
-# this length peaks at 64 MiB of numpy buffers for order 3, 112 MiB for
-# order 6 and 176 MiB for order 10, and takes 0.5-0.9 s for orders 3-6 on a
-# 2-vCPU x86-64 VM.  Every beta <= 0.999 starts at <= 58k terms (order 6).
+# this length peaks at 56, 80 and 112 MiB for the corners of orders 3, 6 and
+# 10, and 32, 73 and 137 MiB for DC's differences (tracemalloc), and takes
+# 0.3-0.4 s (orders 3-6, 2-vCPU x86-64 VM).
+# Every beta <= 0.999 starts at <= 74k terms (order 10).
 _MAX_SERIES_TERMS = 2 ** 20
 
 # Largest estimated backward error ``eps / rcond(U)`` of the trailing corner
-# of an order >= 3 factor (see :func:`_series_corner`).  Against a 90-digit
+# of an order >= 3 factor (see :func:`_series_factor`).  Against a 90-digit
 # C0, over TC3-TC6, DC3, DC6 and HC3 (alpha = 0.5) at the kernel-sweep betas
-# 0.3 .. 0.999 and T = 50, 200, every accepted corner has |L22^T K22 L22 -
-# I|_2 <= 3.2e-4 (DC6 at beta = 0.99, estimate 1.0e-4); the refused ones (TC5
-# at 0.999, TC6 at 0.99 and 0.999, DC6 at 0.999) measure 1.6e-3 to 18, with
-# estimates 2.8e-3 to 4.
+# 0.3 .. 0.999, T = 50, 200, every accepted corner has |L22^T K22 L22 - I|_2
+# <= 3.2e-4 (DC6 at 0.99, estimate 1.0e-4), and <= 4.9e-4 at the off-grid
+# 0.985 .. 0.9985 (DC6 at 0.993, estimate 5.2e-4); the refused ones measure
+# 1.6e-3 to 18.
 _CORNER_TOL = 1e-3
 
 
@@ -348,38 +342,8 @@ def _band_index(T: int, bandwidth: int) -> tuple[np.ndarray, np.ndarray, np.ndar
 
 
 # ---------------------------------------------------------------------------
-# Toeplitz machinery
+# Operator series
 # ---------------------------------------------------------------------------
-
-def toeplitz_inverse(a, n: int) -> np.ndarray:
-    """First ``n`` coefficients of the inverse of a lower Toeplitz operator.
-
-    For ``A = tpl(a_0, a_1, ...)`` (banded lower triangular Toeplitz) the
-    inverse is the lower Toeplitz operator ``tpl(b_0, b_1, ...)`` with
-
-        b_0 = 1/a_0,    b_k = -(1/a_0) * sum_{j=0}^{k-1} a_{k-j} b_j.
-
-    Evaluated as an IIR recursion, which is this exact formula.
-
-    >>> toeplitz_inverse([1.0, -1.0], 4)
-    array([1., 1., 1., 1.])
-    >>> toeplitz_inverse([1.0, -2.0, 1.0], 4)
-    array([1., 2., 3., 4.])
-    """
-    a = np.atleast_1d(np.asarray(a, dtype=float))
-    if a.ndim != 1 or a.size == 0:
-        raise ParameterError("coefficient sequence must be a nonempty 1-d array")
-    if a[0] == 0.0:
-        raise SingularOperatorError(
-            "leading Toeplitz coefficient is zero; operator is singular"
-        )
-    n = int(n)
-    if n < 1:
-        raise DimensionError(f"sequence length must be >= 1; got {n}")
-    impulse = np.zeros(n)
-    impulse[0] = 1.0
-    return lfilter([1.0], a, impulse)
-
 
 def _binomial_sequence(delta: int, n: int) -> np.ndarray:
     """``x_j = C(j + delta - 2, delta - 1)``: coefficients of ``F**-delta``
@@ -388,9 +352,9 @@ def _binomial_sequence(delta: int, n: int) -> np.ndarray:
         out = np.zeros(n)
         out[0] = 1.0
         return out
-    j = np.arange(1, n + 1, dtype=float)
-    i = np.arange(1, delta, dtype=float)
-    return np.prod((j[:, None] + (i - 1.0)) / i, axis=1)
+    x = np.arange(1, n + 1, dtype=float)[:, None] + np.arange(delta - 1.0)
+    x /= np.arange(1, delta, dtype=float)  # in place: one n x (delta - 1) buffer
+    return np.prod(x, axis=1)
 
 
 def _dc_coefficients(p: int, alpha: float) -> np.ndarray:
@@ -507,55 +471,60 @@ def _order2_entries(T: int, beta: float, alpha: float) -> np.ndarray:
     return _powers(beta, T)[mx] * vals
 
 
-def _series_sums(spec: KernelSpec, T: int, n: int):
-    """``(z, s)`` of a series truncated after ``n`` terms, or ``None`` where
-    its tail is not certified: the inverse series ``z`` to ``n + max(T, 2)``
-    terms and ``s[d] = sum_{j < n} beta^(j+1) z_j z_{j+d}``, ``d = 0 .. T-1``.
+def _positive_sums(beta: float, n: int, z: np.ndarray, Y: np.ndarray) -> np.ndarray | None:
+    """``sum_{j < n} beta^(j+1) z_j y_j`` for each row ``y`` of ``Y``, or
+    ``None`` unless every tail is below ``_SERIES_TOL`` of its sum: ``|z|``,
+    ``|y|`` are log-concave (binomials, alone or convolved with ``|alpha|**j``),
+    so a tail is at most ``beta^(n+1) |z_n y_n| / (1 - rho)``, ``rho = beta q
+    max(q, |y_{n+1} / y_n|)``, ``q = |z_{n+1} / z_n|``."""
+    w = beta ** np.arange(1, n + 1, dtype=float) * z[:n]
+    sums = np.array([np.dot(w, y[:n]) for y in Y])  # BLAS dots: a strided matmul sums serially
+    q = abs(z[n + 1] / z[n])
+    rho = beta * q * np.maximum(q, np.abs(Y[:, n + 1] / Y[:, n]))
+    tail = beta ** (n + 1) * abs(z[n]) * np.abs(Y[:, n]) / (1.0 - rho)
+    return sums if np.all((rho < 1.0) & (tail < _SERIES_TOL * np.abs(sums))) else None
 
-    Every ``|z_{j+1} / z_j|`` is at most ``q = |z_{n+1} / z_n|`` for ``j >=
-    n``: ``|z|`` is log-concave (binomial coefficients, alone or convolved
-    with ``|alpha|**j``), so its ratios do not increase.  Hence the neglected
-    tail of ``s[d]`` is at most ``beta^(n+1) |z_n| |z_{n+d}| / (1 - beta
-    q^2)``, and each ``s[d]`` must certify to ``_SERIES_TOL``.
-    """
-    beta = spec.beta
-    z = _inverse_series(spec, n + max(T, 2))
-    zt = np.abs(z[n:])  # |z_n|, |z_{n+1}|, ...
-    q = zt[1] / zt[0]
-    rho = beta * q * q
-    if not rho < 1.0:
-        return None
-    w = beta ** np.arange(1, n + 1, dtype=float)
-    s = np.empty(T)
-    s[0] = np.dot(w, z[:n] ** 2)
-    if T > 1:
-        s[1:] = np.correlate(z[1 : n + T - 1], w * z[:n], "valid")
-    tail = beta ** (n + 1) * (zt[0] * zt[:T]) / (1.0 - rho)
-    if not (tail < _SERIES_TOL * np.abs(s)).all():
-        return None
-    return z, s
+
+@lru_cache(maxsize=64)
+def _binomials(T: int, m: int) -> np.ndarray:
+    """Read-only ``C(d, k)`` at ``[d, k]``, ``d < T``, ``k < m``, rounded once."""
+    out = np.array([[math.comb(d, k) for k in range(m)] for d in range(T)], dtype=float)
+    out.setflags(write=False)
+    return out
+
+
+def _tc_differences(p: int, beta: float) -> np.ndarray:
+    """TCp's ``Delta^m s[0]`` (see :func:`_first_row`), ``m < p``, each a sum
+    of positive terms, ``beta sum_k C(p-1, k+m) C(p-1-m, k) beta^k /
+    (1-beta)^(2p-1-m)`` (for ``m = 0``, the squared binomials' generating
+    function)."""
+    C = _binomials(p, p)
+    m, k = np.arange(p)[:, None], np.arange(p)
+    weights = C[p - 1, np.minimum(k + m, p - 1)] * C[p - 1 - m, k]  # zero past k = p-1-m
+    return beta * (weights @ _powers(beta, p - 1)) / (1.0 - beta) ** (2 * p - 1 - np.arange(p))
 
 
 def _first_row(spec: KernelSpec, T: int) -> np.ndarray:
-    """Certified first row ``r[d] = K[1, 1 + d]``, ``d = 0 .. T-1``, of a
-    series kernel:
-
-        r[d] = kappa * beta^(d+1) * sum_j beta^j z_j z_{j+d},
-
-    with ``z`` the inverse series, in O(n T) time and O(n + T) memory for a
-    truncation after ``n`` terms (:func:`_series_sums`).
-    """
-    _, s = _certified(spec, lambda n: _series_sums(spec, T, n),
-                      f"first row of {spec.display_name}")
-    return normalization_kappa(spec) * spec.beta ** np.arange(T, dtype=float) * s
-
-
-def _series_kernel(spec: KernelSpec, T: int) -> np.ndarray:
-    """``K[t, s] = beta^(min(t, s) - 1) * r[|t - s|]`` from the certified
-    first row ``r``: the kernel is exponentially convex, ``K[t+1, s+1] =
-    beta * K[t, s]``."""
-    _, mn, d = _grid(T)
-    return _powers(spec.beta, T - 1)[mn - 1] * _first_row(spec, T)[d]
+    """``r[d] = K[1, 1 + d] = beta^d s[d]``, ``d < T``, of an order ``p >= 3``
+    base spec, ``s[d] = sum_j beta^(j+1) z_j z_{j+d}`` (``z`` the inverse
+    series), from Newton differences: ``s[d] = sum_{m < p} C(d, m) Delta^m
+    s[0]`` for TC; DC's last is ``u0 alpha^d``, so ``s[d] = sum_{m < p-1} C(d,
+    m) Delta^m s[0] + u0 z_{d-p+1}``, ``u0 = alpha^(p-1) beta / ((1 - alpha
+    beta)^(p-1) (1 - alpha^2 beta))``.  All terms are positive; overflow is refused."""
+    p, beta, alpha = spec.bandwidth, spec.beta, spec.alpha
+    with np.errstate(over="ignore", invalid="ignore"):
+        if spec.family == "TCd":
+            s = _binomials(T, p) @ _tc_differences(p, beta)
+        else:
+            q = p - 1
+            s = _binomials(T, q) @ _series(spec).differences
+            u0 = alpha ** q * beta / ((1.0 - alpha * beta) ** q * (1.0 - alpha * alpha * beta))
+            s[q:] += u0 * _inverse_series(spec, max(T - q, 0))
+        row = _powers(beta, T - 1) * s
+    if not np.all(np.isfinite(row)):
+        raise ConditioningError(f"first row of {spec.display_name} at beta={beta}, dim={T} "
+                                f"exceeds the largest double {np.finfo(float).max:.4g}")
+    return row
 
 
 # ---------------------------------------------------------------------------
@@ -644,62 +613,84 @@ def _ss_factor(spec: KernelSpec, T: int) -> tuple[np.ndarray, float]:
     return bands, -2.0 * np.sum(np.log(bands[0]))
 
 
-def _series_corner(spec: KernelSpec) -> np.ndarray:
-    """``U`` upper triangular with a positive diagonal and ``J C0 J = U^T U``,
-    where ``C0 = K[:p, :p]`` of the order-``p`` series kernel ``spec`` and
-    ``J`` reverses the order of ``p`` entries; refused where its estimated
-    backward error exceeds ``_CORNER_TOL``.
+@dataclass(frozen=True)
+class _Series:
+    """The certified series of an order ``p >= 3`` base spec: the corner
+    ``U``, upper triangular with a positive diagonal and ``J C0 J = U^T U``
+    (``C0 = K[:p, :p]``, ``J`` the reversal), and the sums ``s[0 .. p-1]``."""
 
-    ``C0 = W^T W`` is the Gram of the windows ``W[m, t] = beta^((m+1)/2)
-    z_{m-t}``, ``m = 0 .. n+p-2``, which hold every term of the certified
-    sums ``s[0 .. p-1]`` of :func:`_series_sums` (``C0[t, t+d] = beta^t
-    s[d]``), so their tail is no larger.  ``U`` is the R factor of the
-    column-flipped ``W J``, taken without forming the Gram: its backward
-    error ``|U^-T J C0 J U^-1 - I|`` is about ``eps cond(U) = eps
-    sqrt(cond(C0))``, estimated as ``eps / rcond(U)`` (1-norm, ``dtrcon``).
+    spec: KernelSpec
+    corner: np.ndarray
+    sums: np.ndarray
+
+    @cached_property
+    def differences(self) -> np.ndarray:
+        """DC's ``Delta^m s[0]``, ``m < p - 1`` (see :func:`_first_row`),
+        summed on first use, so fits never pay for them: ``Delta^m z`` is the
+        order-``(p-m)`` series shifted by ``m``, so each is a sum of positive
+        terms (differencing ``s`` loses 4e-3 at DC6, 0.5, 0.999, m = 4)."""
+        spec, inverse = self.spec, _SERIES["DC"][1]
+        p, alpha = spec.bandwidth, spec.alpha
+
+        def attempt(n):
+            Y = np.fromiter((inverse(p - m, alpha, n + m + 2)[m:] for m in range(1, p - 1)),
+                            np.dtype((float, n + 2)), p - 2)
+            out = _positive_sums(spec.beta, n, inverse(p, alpha, n + 2), Y)
+            return None if out is None else np.r_[self.sums[0], out]
+
+        out = _certified(spec, attempt, f"Newton differences of {spec.display_name}")
+        out.setflags(write=False)
+        return out
+
+
+@lru_cache(maxsize=1024)
+def _series(spec: KernelSpec) -> _Series:
+    """The :class:`_Series` of a base spec, memoized, read-only and a function
+    of the spec alone (``HC3`` shares ``DC3``'s).  The windows ``W[m, t] =
+    beta^((m+1)/2) z_{m-t}``, ``m = 0 .. n+p-2``, have the Gram ``C0`` and
+    hold every term of the certified ``s[d]`` (``C0[t, t+d] = beta^t s[d]``),
+    so their tail is no larger; ``U`` is the R factor of the flipped ``W J``.
     """
     p = spec.bandwidth
 
     def attempt(n):
-        sums = _series_sums(spec, p, n)
-        if sums is None:
+        z = _inverse_series(spec, n + p + 1)
+        s = _positive_sums(spec.beta, n, z, as_strided(z, (p, n + 2), z.strides * 2))  # z[d:]
+        if s is None:
             return None
         # row m of the view holds z_{m-p+1} .. z_m: the windows, flipped
-        z = np.concatenate((np.zeros(p - 1), sums[0][: n + p - 1]))
         W = np.empty((n + p - 1, p), order="F")
-        np.multiply(sliding_window_view(z, p), spec.beta ** (np.arange(1, n + p) / 2.0)[:, None],
-                    out=W)
-        return dgeqrf(W, overwrite_a=1)[0][:p]
+        np.multiply(sliding_window_view(np.concatenate((np.zeros(p - 1), z[: n + p - 1])), p),
+                    spec.beta ** (np.arange(1, n + p) / 2.0)[:, None], out=W)
+        return dgeqrf(W, overwrite_a=1)[0][:p], s
 
-    U = np.triu(_certified(spec, attempt, f"trailing corner of {spec.display_name}"))
+    R, s = _certified(spec, attempt, f"series of {spec.display_name}")
+    U = np.triu(R)
     U *= np.sign(np.diag(U))[:, None]
-    rcond = dtrcon(U)[0]
-    error = np.finfo(float).eps / rcond if rcond > 0 else math.inf
-    if not error <= _CORNER_TOL:
-        raise ConditioningError(
-            f"trailing {p}x{p} corner of {spec.display_name} at beta={spec.beta}: "
-            f"estimated backward error {error:.1e} exceeds {_CORNER_TOL:g}"
-        )
-    return U
+    U.setflags(write=False)
+    s.setflags(write=False)
+    return _Series(spec, U, s)
 
 
 def _series_factor(spec: KernelSpec, T: int) -> tuple[np.ndarray, float]:
     """Bands of an order ``p >= 3`` factor: the graded operator columns
-    ``beta^(-t/2) a`` for ``t = 1 .. T-p``, then the trailing ``p x p``
-    corner ``L22`` with ``L22 L22^T = K22^-1``.
-
-    The kernel is exponentially convex, so ``K22 = beta^(T-p) C0`` and, with
-    ``J C0 J = U^T U`` from :func:`_series_corner`, ``L22 = beta^(-(T-p)/2)
-    J U^-1 J``.  Every corner accepted over the grid swept for
-    ``_CORNER_TOL`` measured ``|L22^T K22 L22 - I| < _CORNER_TOL``, which
-    puts the log-determinant within about ``p * _CORNER_TOL``.
+    ``beta^(-t/2) a`` for ``t = 1 .. T-p``, then the trailing corner ``L22 =
+    beta^(-(T-p)/2) J U^-1 J`` (``K22 = beta^(T-p) C0``, ``J C0 J = U^T U``
+    from :func:`_series`), refused where its backward error, about ``eps
+    cond(U)``, estimated as ``eps / rcond(U)`` (1-norm, ``dtrcon``), exceeds
+    ``_CORNER_TOL``; that keeps the log-determinant within ``p * _CORNER_TOL``.
     """
     stem, p = _CANONICAL[spec.family, spec.delta]
     if T < p + 2:
-        raise DimensionError(
-            f"order-{p} families need dim >= delta + 2 = {p + 2}; got {T}"
-        )
-    Uinv = dtrtri(_series_corner(spec), lower=0)[0]
+        raise DimensionError(f"order-{p} families need dim >= delta + 2 = {p + 2}; got {T}")
+    U = _series(spec.base()).corner
+    rcond = dtrcon(U)[0]
+    error = np.finfo(float).eps / rcond if rcond > 0 else math.inf
+    if not error <= _CORNER_TOL:
+        raise ConditioningError(f"trailing {p}x{p} corner of {spec.display_name} at beta="
+                                f"{spec.beta}: estimated backward error {error:.1e} exceeds "
+                                f"{_CORNER_TOL:g}")
+    Uinv = dtrtri(U, lower=0)[0]
     bands = np.zeros((p + 1, T))  # series kernels are unnormalized: kappa = 1
     bands[:, : T - p] = np.outer(_SERIES[stem][0](p, spec.alpha),
                                  spec.beta ** (-np.arange(1, T - p + 1, dtype=float) / 2.0))
@@ -768,12 +759,15 @@ _RECORDS = {
     ),
 }
 
-# Orders >= 3 of both stems: certified series, left unnormalized (the
-# constant is absorbed by the scale hyperparameter of the estimator).
+# Orders >= 3, unnormalized (the scale hyperparameter absorbs the constant),
+# are exponentially convex: K[t, s] = beta^(min(t, s) - 1) r[|t - s|].
+# K[1, 1] = s[0] is closed for TC, and for DC the sum the factor's series shares.
 _SERIES_RECORD = _Record(
-    entries=lambda s, T: _series_kernel(s.base(), T),
+    entries=lambda s, T: (_powers(s.beta, T - 1)[_grid(T)[1] - 1]
+                          * _first_row(s.base(), T)[_grid(T)[2]]),
     factor=_series_factor,
-    k11=lambda s: float(_first_row(s.base(), 1)[0]),
+    k11=lambda s: float(_tc_differences(s.delta, s.beta)[0] if s.family in ("TCd", "HFd")
+                        else _series(s.base()).sums[0]),
 )
 
 
@@ -804,11 +798,9 @@ def normalization_kappa(spec: KernelSpec) -> float:
 
 @single_threaded
 def build_kernel(spec: KernelSpec, dim: int) -> np.ndarray:
-    """Dense ``dim x dim`` kernel matrix for ``spec``.
-
-    Closed-form entries are used for ``DI``, ``TC``, ``DC``, ``SS`` and the
-    order-1/2 graded families; orders above 2 fall back to the certified
-    truncated series.  Sign-flipped families multiply entries by
+    """Dense ``dim x dim`` kernel matrix for ``spec`` from closed-form
+    entries, for orders above 2 through Newton differences
+    (:func:`_first_row`).  Sign-flipped families multiply entries by
     ``(-1)**|t-s|``.
     """
     return _sign_flip(spec, _record(spec).entries(spec, _dimension(dim)))
@@ -824,10 +816,8 @@ def _sign_flip(spec: KernelSpec, K: np.ndarray) -> np.ndarray:
 @single_threaded
 def build_inverse(spec: KernelSpec, dim: int) -> np.ndarray:
     """``K^{-1} = L L^T`` from the factor of :func:`inverse_cholesky`, so it
-    is refused exactly where the factor is, and a series kernel's inverse
-    carries the factor's tolerance.
-
-    One triangle is summed band by band and mirrored: the result is exactly
+    is refused exactly where the factor is and carries its tolerance.  One
+    triangle is summed band by band and mirrored: the result is exactly
     symmetric, and entries with ``|t-s| > bandwidth`` are exact zeros.
     ``SS`` has no banded inverse and is rejected.
     """
@@ -853,17 +843,25 @@ def inverse_cholesky(spec: KernelSpec, dim: int) -> BandedFactor:
     log-determinant.
 
     Orders 1 and 2 fill the bands from closed forms (including the corrected
-    trailing entries of the finite-dimensional factor); higher orders take
-    the graded operator columns and a trailing corner from a QR of the
-    series windows (:func:`_series_factor`), refused with
-    ``ConditioningError`` where the corner's estimated backward error
-    exceeds ``_CORNER_TOL``; ``SS`` falls back to a dense factor of
-    bandwidth ``dim - 1``.
-    Sign-flipped families reuse the factor of their base family via the
-    similarity ``L -> S L S``, which flips the sign of every odd band.
+    trailing entries of the finite-dimensional factor), higher orders by
+    :func:`_series_factor`, and ``SS`` falls back to a dense factor of
+    bandwidth ``dim - 1``.  Sign-flipped families reuse the factor of their
+    base family via the similarity ``L -> S L S``, which flips the sign of
+    every odd band.  The columns carry ``beta^(-t/2)``: a factor is refused
+    with ``ConditioningError`` unless ``L`` is finite and, but for ``SS``,
+    ``2 log max|L| + log(bandwidth + 1) <= log(max double)``, so that ``L
+    L^T``, each entry a sum of at most ``bandwidth + 1`` products, fits too.
     """
     T = _dimension(dim)
-    bands, logdet = _record(spec).factor(spec, T)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            bands, logdet = _record(spec).factor(spec, T)
+    except OverflowError:
+        bands = np.full(1, math.inf)
+    big = np.finfo(float).max  # L must fit, and L L^T too except for SS, which forms none
+    if not np.abs(bands).max() <= (big if spec.family == "SS" else math.sqrt(big / len(bands))):
+        raise ConditioningError(f"{spec.to_kv()}, dim={dim}: L or K^-1 = L L^T exceeds the "
+                                f"largest double {big:.4g}")
     if spec.sign_flipped:
         bands[1::2] *= -1.0
     return BandedFactor(T, bands.shape[0] - 1, bands, float(logdet))
@@ -875,6 +873,7 @@ def _cached_factor(spec: KernelSpec, dim: int) -> BandedFactor:
 
 
 @lru_cache(maxsize=4096)
+@single_threaded
 def leading_variance(spec: KernelSpec) -> float:
     """``K[1, 1]``: the prior variance of the first impulse coefficient.
 

@@ -111,6 +111,23 @@ def test_kernel_near_unit_decay_is_refused_by_series_length():
     assert done.stderr.startswith("error:") and "series terms" in done.stderr
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["--family", "TC", "--beta", "5e-4", "--dim", "200", "--logdet"],
+     ["--family", "TC", "--beta", "1e-3", "--dim", "200", "--inverse"],
+     ["--family", "DI", "--beta", "1.5e-238", "--dim", "5", "--cholesky"]],
+    ids=["TC-logdet", "TC-inverse", "DI-cholesky"],
+)
+def test_kernel_past_the_largest_double_exit_1(capsys, argv):
+    # the factor's columns carry beta^(-t/2): where L or L L' would overflow
+    # the command names the limit, where it once ended in an OverflowError
+    # traceback (TC at 5e-4) or wrote inf entries (exit 0)
+    assert run_cli("kernel", *argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "largest double" in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("mode", ["--cholesky", "--logdet", "--inverse"])
 @pytest.mark.parametrize("delta", [MAX_ORDER + 1, 1100])
 def test_kernel_order_above_the_cap_exit_1(capsys, delta, mode):

@@ -22,6 +22,7 @@ from stablekern.errors import (
     DimensionError,
     OptimizationError,
     ParameterError,
+    StableKernError,
 )
 from stablekern.estimator import (
     Dataset,
@@ -490,6 +491,17 @@ def test_refused_points_give_inf_or_one_sided_differences(monkeypatch):
     # a refused centre: TC6 at beta = 0.999 fails its trailing corner
     f3, grad3 = _likelihood("TC6", ds, T=50).value_and_grad(np.array([0.0, 40.0]))
     assert f3 == np.inf and np.all(np.isfinite(grad3))
+
+
+def test_fit_past_the_largest_double_finishes_or_is_refused():
+    # at T = 300 the seed beta = 1e-3 puts beta^-150 into the factor, which
+    # once escaped as a raw OverflowError; now the point is refused like any
+    ds, _ = _synthetic_dataset(N=600)
+    try:
+        res = fit_hyperparameters(ds, "TC", T=300, seeds=[[1.0, 1e-3]], use_default_grid=False)
+    except StableKernError:
+        return
+    assert np.isfinite(res.nll)
 
 
 def test_fit_runs_through_refused_grid_points_without_warnings(monkeypatch):

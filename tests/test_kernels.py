@@ -1,8 +1,8 @@
 """Kernel construction, inverse decomposition, and Cholesky factor tests.
 
-Expected values come from three independent sources: hand-evaluated
-closed-form entries, dense numpy/scipy linear algebra on the assembled
-matrices, and the truncated-series route for the graded families.
+Expected values come from independent sources: hand-evaluated closed-form
+entries, dense numpy/scipy linear algebra on the assembled matrices, the
+truncated-series route for the graded families and 90-digit mpmath oracles.
 """
 
 import doctest
@@ -40,12 +40,11 @@ from stablekern.kernels import (
     matrix_to_csv,
     normalization_kappa,
     parse_family,
-    toeplitz_inverse,
-    _series_kernel,
 )
 from stablekern.spectral import stationary_part
 
 from closed_form_inverse import closed_form_inverse
+from series_kernel import series_kernel, toeplitz_inverse
 
 
 def spec(name, **kw):
@@ -80,7 +79,7 @@ CASES = [
 
 
 # ---------------------------------------------------------------------------
-# Toeplitz inverse recursion
+# Toeplitz inverse recursion of the series oracle
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize(
@@ -114,7 +113,7 @@ def test_toeplitz_inverse_is_an_inverse():
 
 def test_docstring_examples_pass():
     result = doctest.testmod(kernels)
-    assert result.attempted >= 3 and result.failed == 0
+    assert result.attempted >= 1 and result.failed == 0
 
 
 def test_toeplitz_inverse_rejects_singular_and_bad_length():
@@ -252,15 +251,17 @@ def test_banded_factor_storage_layout():
         spec("DC2", beta=0.6, alpha=0.45),
         spec("DC", beta=0.6, alpha=0.45),
         spec("DC", beta=0.6, alpha=-0.45),
+        spec("TC3", beta=0.7),
+        spec("HF5", beta=0.8),
+        spec("DC3", beta=0.6, alpha=0.45),
+        spec("HC6", beta=0.8, alpha=1.0),
+        spec("DC4", beta=0.9, alpha=0.0),
     ],
     ids=lambda s: s.to_kv(),
 )
 def test_series_route_reproduces_closed_forms(sp):
-    base = sp.base()
     T = 8
-    K_closed = build_kernel(sp, T)
-    K_series = _series_kernel(base, T)
-    assert maxrel(K_series, K_closed) < 1e-12
+    assert maxrel(series_kernel(sp, T), build_kernel(sp, T)) < 1e-12
 
 
 def test_order_one_family_collapses_to_tc_and_dc():
@@ -343,51 +344,84 @@ def test_leading_variance_matches_corner_entry():
         assert leading_variance(sp) == pytest.approx(want, rel=1e-11), sp
 
 
-def _mpmath_first_row(sp, T):
-    """``K[1, 1..T]`` of a series kernel to ~20 digits: the inverse series
-    comes from the recursion of the operator polynomial itself (``(1-x)^d``,
-    or the DC mixture ``(1-a)(1-x)^(d-1) + a(1-x)^d``), evaluated in
-    40-digit arithmetic and summed until the terms are 1e-24 of the total."""
+def _mpmath_operator(base):
+    """Coefficients of the operator polynomial of a TC/DC-stem base spec in
+    mpmath: ``(1-x)^p``, or the DC mixture ``(1-a)(1-x)^(p-1) + a(1-x)^p``."""
     mp = pytest.importorskip("mpmath")
-    base = sp.base()
-    delta = base.delta
-    with mp.workdps(40):
+    p = base.delta
+    hi = [mp.mpf((-1) ** j * math.comb(p, j)) for j in range(p + 1)]
+    if base.family == "TCd":
+        return hi
+    al = mp.mpf(base.alpha)
+    lo = [mp.mpf((-1) ** j * math.comb(p - 1, j)) for j in range(p)] + [0]
+    return [(1 - al) * l + al * h for l, h in zip(lo, hi)]
+
+
+def _mpmath_digits(base):
+    return max(90, 30 + 2 * base.delta * round(-math.log10(1.0 - base.beta)))
+
+
+@lru_cache(maxsize=None)
+def _mpmath_corner(base):
+    """``C0 = K[:p, :p]`` of an order-``p`` series kernel to well over 40
+    digits, independent of any truncation: the windows ``x_m = (z_m, ..,
+    z_{m-p+1})`` of the inverse series obey ``x_{m+1} = A x_m`` with ``A``
+    the companion matrix of the operator polynomial, so ``C0 = beta X`` where
+    ``X = e1 e1' + beta A X A'`` (a Stein equation, solved at 90 digits).
+    Rows ``i >= 1`` of the equation read ``X[i, j] = beta X[i-1, j-1]``, so
+    ``X[i, j] = beta^min(i, j) x[|i - j|]`` and row 0 leaves ``p`` equations
+    in ``x``, which lose about ``2 p log10(1 / (1 - beta))`` digits; 90 keep
+    30 or more up to ``beta = 0.999``, and nearer 1 the precision grows."""
+    mp = pytest.importorskip("mpmath")
+    p = base.delta
+    with mp.workdps(_mpmath_digits(base)):
         b = mp.mpf(base.beta)
-        hi = [mp.mpf((-1) ** j * math.comb(delta, j)) for j in range(delta + 1)]
-        if base.family == "TCd":
-            a = hi
-        else:
-            al = mp.mpf(base.alpha)
-            lo = [mp.mpf((-1) ** j * math.comb(delta - 1, j)) for j in range(delta)] + [0]
-            a = [(1 - al) * l + al * h for l, h in zip(lo, hi)]
-        z, sums = [], [mp.mpf(0)] * T
-        j = 0
-        while True:
-            while len(z) < j + T:
-                m = len(z)
-                acc = (1 if m == 0 else 0) - sum(a[i] * z[m - i] for i in range(1, min(delta, m) + 1))
-                z.append(acc / a[0])
-            bj = b ** (j + 1)
-            for d in range(T):
-                sums[d] += bj * z[j] * z[j + d]
-            if j > 2 * delta / (1 - base.beta) and bj * z[j] ** 2 < mp.mpf(10) ** -24 * sums[0]:
-                break
-            j += 1
-        return [float(normalization_kappa(base) * b ** d * sd) for d, sd in enumerate(sums)]
+        a = _mpmath_operator(base)
+        row0 = [-a[k + 1] / a[0] for k in range(p)]  # A[0, k]; A[i, k] = [k == i - 1]
+        M, rhs = mp.eye(p), mp.zeros(p, 1)
+        rhs[0] = 1
+        for k, l in itertools.product(range(p), repeat=2):
+            M[0, abs(k - l)] -= b * row0[k] * row0[l] * b ** min(k, l)
+        for j, k in itertools.product(range(1, p), range(p)):
+            M[j, abs(k - j + 1)] -= b * row0[k] * b ** min(k, j - 1)
+        x = mp.lu_solve(M, rhs)
+        return mp.matrix([[b ** (min(i, j) + 1) * x[abs(i - j)] for j in range(p)]
+                          for i in range(p)])
 
 
-@pytest.mark.parametrize("beta", [0.9, 0.99])
-@pytest.mark.parametrize(
-    "sp_of", [lambda b: spec("TC3", beta=b), lambda b: spec("TC6", beta=b),
-              lambda b: spec("DC6", beta=b, alpha=0.5)],
-    ids=["TC3", "TC6", "DC6"],
-)
-def test_series_first_row_matches_mpmath(sp_of, beta):
-    sp = sp_of(beta)
-    T = 6
-    want = np.array(_mpmath_first_row(sp, T))
-    np.testing.assert_allclose(build_kernel(sp, T)[0], want, rtol=1e-13, atol=0)
-    assert leading_variance(sp) == pytest.approx(want[0], rel=1e-13)
+@lru_cache(maxsize=None)
+def _mpmath_first_row(base, T):
+    """``K[1, 1 .. T]`` of an order-``p`` series kernel: ``r[d] = C0[0, d]``
+    for ``d < p`` from the Stein corner, extended at the same precision by the
+    operator recursion ``sum_i a_i s[d-i] = 0`` (``d >= p``), which ``s[d] =
+    r[d] / beta^d`` obeys because ``a`` annihilates the inverse series."""
+    mp = pytest.importorskip("mpmath")
+    p = base.delta
+    C0 = _mpmath_corner(base)
+    with mp.workdps(_mpmath_digits(base)):
+        b = mp.mpf(base.beta)
+        a = _mpmath_operator(base)
+        r = [C0[0, d] for d in range(p)]
+        for d in range(p, T):
+            r.append(-sum(a[i] * b ** i * r[d - i] for i in range(1, p + 1)) / a[0])
+        return np.array([float(v) for v in r[:T]])
+
+
+FIRST_ROW_CASES = ([(f"TC{p}", None) for p in range(3, MAX_ORDER + 1)]
+                   + [(f"DC{p}", a) for p in range(3, MAX_ORDER + 1) for a in (0.0, 0.5, 1.0)])
+
+
+@pytest.mark.parametrize("beta", [0.3, 0.9, 0.99, 0.999])
+@pytest.mark.parametrize("name, alpha", FIRST_ROW_CASES,
+                         ids=[f"{n}" if a is None else f"{n}-{a}" for n, a in FIRST_ROW_CASES])
+def test_first_row_matches_mpmath(name, alpha, beta):
+    # the Newton-difference rows (closed for TC, a memoized series for DC's
+    # lower differences) against the 90-digit Stein corner and recursion
+    sp = spec(name, beta=beta, **({} if alpha is None else {"alpha": alpha}))
+    T = 200
+    want = _mpmath_first_row(sp, T)
+    np.testing.assert_allclose(build_kernel(sp, T)[0], want, rtol=1e-14, atol=0)
+    assert leading_variance.__wrapped__(sp) == pytest.approx(want[0], rel=1e-14, abs=0)
 
 
 @pytest.mark.parametrize(
@@ -402,30 +436,47 @@ def test_series_kernel_shift_identity(sp):
     np.testing.assert_allclose(K[1:, 1:], sp.beta * K[:-1, :-1], rtol=1e-14, atol=0)
 
 
+def _clear_caches():
+    for cache in (kernels._series, kernels._cached_factor, leading_variance,
+                  kernels._binomials, kernels._grid, kernels._band_index):
+        cache.cache_clear()
+
+
 def test_series_loops_are_bounded(monkeypatch):
-    # a zero tolerance never certifies: every series loop must give up
-    # after its fixed number of doublings instead of growing without end
+    # a zero tolerance never certifies: each series that remains, the
+    # corner's and DC's lower Newton differences, must give up after its
+    # fixed number of doublings instead of growing without end
+    _clear_caches()
+    dc = spec("DC3", beta=0.9, alpha=0.5)
+    inverse_cholesky(dc, 10)  # its corner certifies at the documented tolerance
     monkeypatch.setattr(kernels, "_SERIES_TOL", 0.0)
-    sp = spec("TC3", beta=0.9)
     with pytest.raises(ConditioningError, match="does not certify"):
-        build_kernel(sp, 10)
+        build_kernel(dc, 10)
+    tc = spec("TC3", beta=0.9)
     with pytest.raises(ConditioningError, match="does not certify"):
-        leading_variance.__wrapped__(sp)
+        inverse_cholesky(tc, 10)
     with pytest.raises(ConditioningError, match="does not certify"):
-        inverse_cholesky(sp, 10)
+        leading_variance.__wrapped__(spec("DC3", beta=0.8, alpha=0.5))
+    # TC rows and leading variances are closed forms: no series to bound
+    assert np.all(np.isfinite(build_kernel(tc, 10))) and leading_variance.__wrapped__(tc) > 0
 
 
-@pytest.mark.parametrize("call", ["leading_variance(sp)", "build_kernel(sp, 5)"])
 @pytest.mark.parametrize(
-    "name, kw", [("TC3", {}), ("TC6", {}), ("DC3", {"alpha": 0.5})], ids=["TC3", "TC6", "DC3"]
+    "name, kw, call",
+    [("TC3", {}, "inverse_cholesky(sp, 8)"), ("TC6", {}, "inverse_cholesky(sp, 8)"),
+     ("DC3", {"alpha": 0.5}, "inverse_cholesky(sp, 8)"),
+     ("DC3", {"alpha": 0.5}, "leading_variance(sp)"),
+     ("DC3", {"alpha": 0.5}, "build_kernel(sp, 5)")],
+    ids=["TC3-factor", "TC6-factor", "DC3-factor", "DC3-leading_variance", "DC3-kernel"],
 )
 def test_series_near_unit_decay_is_refused_by_length(name, kw, call):
-    # at beta = 1 - 1e-7 the series would start at ~5e8 terms; it must be
+    # at beta = 1 - 1e-7 a series would start at ~5e8 terms; it must be
     # refused before any attempt, not exhaust memory or the clock
     code = (
         "import sys\n"
         "from stablekern.errors import StableKernError\n"
-        "from stablekern.kernels import KernelSpec, build_kernel, leading_variance\n"
+        "from stablekern.kernels import (KernelSpec, build_kernel, inverse_cholesky,\n"
+        "                                leading_variance)\n"
         f"sp = KernelSpec.from_name({name!r}, beta=1 - 1e-7, **{kw!r})\n"
         "try:\n"
         f"    {call}\n"
@@ -437,6 +488,15 @@ def test_series_near_unit_decay_is_refused_by_length(name, kw, call):
                           env=dict(os.environ, PYTHONPATH=src), timeout=60)
     assert done.returncode == 1, done.stderr
     assert done.stderr.startswith("error:") and "series terms" in done.stderr
+
+
+@pytest.mark.parametrize("name", ["TC3", "TC6"])
+def test_closed_form_rows_need_no_series_near_unit_decay(name):
+    # where the series is refused by length, TC's rows are still closed forms
+    sp = spec(name, beta=1 - 1e-7)
+    want = _mpmath_first_row(sp, 5)
+    np.testing.assert_allclose(build_kernel(sp, 5)[0], want, rtol=1e-14, atol=0)
+    assert leading_variance.__wrapped__(sp) == pytest.approx(want[0], rel=1e-14, abs=0)
 
 
 @pytest.mark.parametrize(
@@ -458,7 +518,9 @@ def test_series_length_bound_leaves_room_at_the_fitting_box_edge(sp):
 )
 def test_series_certify_at_their_first_length(monkeypatch, name, kw, beta):
     # the start length allows for the binomial growth of the inverse
-    # series, so no factor or leading variance pays for a failed attempt
+    # series, so no query pays for a failed attempt; from cleared caches a
+    # spec runs one series, the corner's, which its leading variance shares,
+    # and DC's kernel one more, for its lower Newton differences
     attempts = []
     certified = kernels._certified
 
@@ -470,52 +532,43 @@ def test_series_certify_at_their_first_length(monkeypatch, name, kw, beta):
         return certified(spec_, counted, what)
 
     monkeypatch.setattr(kernels, "_certified", counting)
+    _clear_caches()
     sp = spec(name, beta=beta, **kw)
     try:
         inverse_cholesky(sp, 50)
     except ConditioningError as exc:
         assert "backward error" in str(exc)  # refused after its one attempt
     leading_variance.__wrapped__(sp)
-    assert [ok for _, ok in attempts] == [True, True], attempts
+    build_kernel(sp, 50)
+    want = [True] if name.startswith("TC") else [True, True]
+    assert [ok for _, ok in attempts] == want, attempts
 
 
-@lru_cache(maxsize=None)
-def _mpmath_corner(base):
-    """``C0 = K[:p, :p]`` of an order-``p`` series kernel to well over 40
-    digits, independent of any truncation: the windows ``x_m = (z_m, ..,
-    z_{m-p+1})`` of the inverse series obey ``x_{m+1} = A x_m`` with ``A``
-    the companion matrix of the operator polynomial, so ``C0 = beta X`` where
-    ``X = e1 e1' + beta A X A'`` (a Stein equation, solved at 90 digits)."""
-    mp = pytest.importorskip("mpmath")
-    p = base.delta
-    with mp.workdps(90):
-        b = mp.mpf(base.beta)
-        hi = [mp.mpf((-1) ** j * math.comb(p, j)) for j in range(p + 1)]
-        if base.family == "TCd":
-            a = hi
-        else:
-            al = mp.mpf(base.alpha)
-            lo = [mp.mpf((-1) ** j * math.comb(p - 1, j)) for j in range(p)] + [0]
-            a = [(1 - al) * l + al * h for l, h in zip(lo, hi)]
-        A = mp.zeros(p, p)
-        for j in range(p):
-            A[0, j] = -a[j + 1] / a[0]
-        for i in range(1, p):
-            A[i, i - 1] = 1
-        M = mp.eye(p * p)
-        for i, j, k, l in itertools.product(range(p), repeat=4):
-            M[i * p + j, k * p + l] -= b * A[i, k] * A[j, l]
-        e1 = mp.zeros(p * p, 1)
-        e1[0] = 1
-        x = mp.lu_solve(M, e1)
-        return mp.matrix([[b * x[i * p + j] for j in range(p)] for i in range(p)])
+PURITY_SPECS = [spec("TC3", beta=0.999), spec("DC3", beta=0.999, alpha=0.5),
+                spec("HC3", beta=0.999, alpha=0.5), spec("DC6", beta=0.999, alpha=0.5)]
+
+
+def test_series_memo_is_a_pure_function_of_the_spec():
+    # every output, and every refusal (DC6's corner), is the same to the last
+    # bit whatever T, query order and entry point first filled the memo (HC3
+    # shares DC3's entry; the reverse run fills it from the leading variance)
+    runs = []
+    for order in (PURITY_SPECS, PURITY_SPECS[::-1]):
+        _clear_caches()
+        dims = (200, 50) if order is PURITY_SPECS else (50, 200)
+        if order is not PURITY_SPECS:
+            for sp in order:
+                leading_variance(sp)
+        runs.append({(sp, T): _outputs(sp, T) for T in dims for sp in order})
+    assert runs[0] == runs[1]
 
 
 CORNER_CASES = [("TC3", {}), ("TC4", {}), ("TC5", {}), ("TC6", {}),
                 ("DC3", {"alpha": 0.5}), ("DC6", {"alpha": 0.5}), ("HC3", {"alpha": 0.5})]
 
 
-@pytest.mark.parametrize("beta", [0.3, 0.5, 0.7, 0.8, 0.9, 0.95, 0.98, 0.99, 0.999])
+@pytest.mark.parametrize("beta", [0.3, 0.5, 0.7, 0.8, 0.9, 0.95, 0.98, 0.99, 0.999,
+                                  0.985, 0.993, 0.996, 0.997, 0.9985])
 @pytest.mark.parametrize("name, kw", CORNER_CASES, ids=[n for n, _ in CORNER_CASES])
 def test_series_corner_matches_mpmath_or_is_refused(name, kw, beta):
     # the trailing corner L22 of the factor must satisfy L22' K22 L22 = I to
@@ -574,6 +627,38 @@ def test_series_factor_matches_dense_oracles(name, kw, beta, T):
     assert np.max(np.abs(W @ SL @ SL.T - np.eye(T))) <= tol
     ld_oracle = 2.0 * np.sum(np.log(np.diag(dense_cholesky(K, lower=True))))
     assert abs(F.logdet_K - ld_oracle) <= tol * max(1.0, abs(ld_oracle))
+
+
+@pytest.mark.parametrize(
+    "sp, T, fits",
+    [(spec("DI", beta=1.5e-238), 5, 1), (spec("DC", beta=4e-121, alpha=1.0), 3, 2),
+     (spec("TC", beta=5e-4), 200, 50), (spec("TC", beta=1e-3), 200, 100),
+     (spec("HF4", beta=1e-3), 200, 100)],
+    ids=["DI", "DC", "TC-5e-4", "TC-1e-3", "HF4"],
+)
+def test_factor_past_the_largest_double_is_refused(sp, T, fits):
+    # L carries beta^(-T/2) and L L' its square: where either would overflow
+    # the factor and the inverse are refused, while the kernel stays finite;
+    # a smaller dimension still fits
+    for call in (inverse_cholesky, build_inverse):
+        with pytest.raises(ConditioningError, match="largest double"):
+            call(sp, T)
+    assert np.all(np.isfinite(build_kernel(sp, T)))
+    assert np.all(np.isfinite(inverse_cholesky(sp, fits).bands))
+    assert np.all(np.isfinite(build_inverse(sp, fits)))
+
+
+def test_ss_factor_needs_only_a_finite_l():
+    # SS forms no L L^T: its dense factor at gamma = 0.3, T = 200 peaks at 1.4e157
+    assert np.all(np.isfinite(inverse_cholesky(spec("SS", gamma=0.3), 200).bands))
+
+
+def test_first_row_past_the_largest_double_is_refused(monkeypatch):
+    # no admitted TC row reaches the largest double (TC10 peaks at 6.7e307
+    # as beta -> 1), so the guard is exercised with inflated differences
+    monkeypatch.setattr(kernels, "_tc_differences", lambda p, beta: np.full(p, 1e308))
+    with pytest.raises(ConditioningError, match="largest double"):
+        build_kernel(spec("TC3", beta=0.5), 4)
 
 
 @pytest.mark.parametrize("bandwidth", [0, 1, 2, 4, 8])
