@@ -55,6 +55,7 @@ from .errors import (
     DecompositionError,
     DimensionError,
     ParameterError,
+    SingularOperatorError,
 )
 
 __all__ = [
@@ -63,6 +64,7 @@ __all__ = [
     "KernelSpec",
     "parse_family",
     "BandedFactor",
+    "toeplitz_inverse",
     "build_kernel",
     "build_inverse",
     "inverse_cholesky",
@@ -345,13 +347,39 @@ def _band_index(T: int, bandwidth: int) -> tuple[np.ndarray, np.ndarray, np.ndar
 # Operator series
 # ---------------------------------------------------------------------------
 
+def toeplitz_inverse(a, n: int) -> np.ndarray:
+    """First ``n`` coefficients of the inverse of a lower Toeplitz operator.
+
+    For ``A = tpl(a_0, a_1, ...)`` (banded lower triangular Toeplitz) the
+    inverse is the lower Toeplitz operator ``tpl(b_0, b_1, ...)`` with
+
+        b_0 = 1/a_0,    b_k = -(1/a_0) * sum_{j=0}^{k-1} a_{k-j} b_j.
+
+    Evaluated as an IIR recursion, which is this exact formula.
+
+    >>> toeplitz_inverse([1.0, -1.0], 4)
+    array([1., 1., 1., 1.])
+    >>> toeplitz_inverse([1.0, -2.0, 1.0], 4)
+    array([1., 2., 3., 4.])
+    """
+    a = np.atleast_1d(np.asarray(a, dtype=float))
+    if a.ndim != 1 or a.size == 0:
+        raise ParameterError("coefficient sequence must be a nonempty 1-d array")
+    if a[0] == 0.0:
+        raise SingularOperatorError(
+            "leading Toeplitz coefficient is zero; operator is singular"
+        )
+    n = int(n)
+    if n < 1:
+        raise DimensionError(f"sequence length must be >= 1; got {n}")
+    impulse = np.zeros(n)
+    impulse[0] = 1.0
+    return lfilter([1.0], a, impulse)
+
+
 def _binomial_sequence(delta: int, n: int) -> np.ndarray:
-    """``x_j = C(j + delta - 2, delta - 1)``: coefficients of ``F**-delta``
-    (the unit impulse for ``delta = 0``)."""
-    if delta == 0:
-        out = np.zeros(n)
-        out[0] = 1.0
-        return out
+    """``x_j = C(j + delta - 2, delta - 1)``: coefficients of ``F**-delta``,
+    ``delta >= 1``."""
     x = np.arange(1, n + 1, dtype=float)[:, None] + np.arange(delta - 1.0)
     x /= np.arange(1, delta, dtype=float)  # in place: one n x (delta - 1) buffer
     return np.prod(x, axis=1)
@@ -510,21 +538,18 @@ def _first_row(spec: KernelSpec, T: int) -> np.ndarray:
     series), from Newton differences: ``s[d] = sum_{m < p} C(d, m) Delta^m
     s[0]`` for TC; DC's last is ``u0 alpha^d``, so ``s[d] = sum_{m < p-1} C(d,
     m) Delta^m s[0] + u0 z_{d-p+1}``, ``u0 = alpha^(p-1) beta / ((1 - alpha
-    beta)^(p-1) (1 - alpha^2 beta))``.  All terms are positive; overflow is refused."""
+    beta)^(p-1) (1 - alpha^2 beta))``.  All terms are positive and ``s`` grows
+    polynomially in ``d``, so no row of a buildable ``T`` overflows: its largest
+    entry ``s[0]`` stays below 6.7e307 (TC10 as ``beta -> 1``; DC's is no larger)."""
     p, beta, alpha = spec.bandwidth, spec.beta, spec.alpha
-    with np.errstate(over="ignore", invalid="ignore"):
-        if spec.family == "TCd":
-            s = _binomials(T, p) @ _tc_differences(p, beta)
-        else:
-            q = p - 1
-            s = _binomials(T, q) @ _series(spec).differences
-            u0 = alpha ** q * beta / ((1.0 - alpha * beta) ** q * (1.0 - alpha * alpha * beta))
-            s[q:] += u0 * _inverse_series(spec, max(T - q, 0))
-        row = _powers(beta, T - 1) * s
-    if not np.all(np.isfinite(row)):
-        raise ConditioningError(f"first row of {spec.display_name} at beta={beta}, dim={T} "
-                                f"exceeds the largest double {np.finfo(float).max:.4g}")
-    return row
+    if spec.family == "TCd":
+        s = _binomials(T, p) @ _tc_differences(p, beta)
+    else:
+        q = p - 1
+        s = _binomials(T, q) @ _series(spec).differences
+        u0 = alpha ** q * beta / ((1.0 - alpha * beta) ** q * (1.0 - alpha * alpha * beta))
+        s[q:] += u0 * _inverse_series(spec, max(T - q, 0))
+    return _powers(beta, T - 1) * s
 
 
 # ---------------------------------------------------------------------------

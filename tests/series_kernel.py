@@ -13,35 +13,10 @@ z_n|``.
 """
 
 import numpy as np
-from scipy.signal import lfilter
 
-from stablekern.errors import DimensionError, ParameterError, SingularOperatorError
-from stablekern.kernels import normalization_kappa
+from stablekern.kernels import normalization_kappa, toeplitz_inverse
 
 TOL = 1e-13
-
-
-def toeplitz_inverse(a, n):
-    """First ``n`` coefficients of the inverse of a lower Toeplitz operator.
-
-    For ``A = tpl(a_0, a_1, ...)`` (banded lower triangular Toeplitz) the
-    inverse is the lower Toeplitz operator ``tpl(b_0, b_1, ...)`` with
-
-        b_0 = 1/a_0,    b_k = -(1/a_0) * sum_{j=0}^{k-1} a_{k-j} b_j,
-
-    evaluated as an IIR recursion, which is this exact formula.
-    """
-    a = np.atleast_1d(np.asarray(a, dtype=float))
-    if a.ndim != 1 or a.size == 0:
-        raise ParameterError("coefficient sequence must be a nonempty 1-d array")
-    if a[0] == 0.0:
-        raise SingularOperatorError("leading Toeplitz coefficient is zero; operator is singular")
-    n = int(n)
-    if n < 1:
-        raise DimensionError(f"sequence length must be >= 1; got {n}")
-    impulse = np.zeros(n)
-    impulse[0] = 1.0
-    return lfilter([1.0], a, impulse)
 
 
 def _operator(base):

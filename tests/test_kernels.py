@@ -40,11 +40,12 @@ from stablekern.kernels import (
     matrix_to_csv,
     normalization_kappa,
     parse_family,
+    toeplitz_inverse,
 )
 from stablekern.spectral import stationary_part
 
 from closed_form_inverse import closed_form_inverse
-from series_kernel import series_kernel, toeplitz_inverse
+from series_kernel import series_kernel
 
 
 def spec(name, **kw):
@@ -79,7 +80,7 @@ CASES = [
 
 
 # ---------------------------------------------------------------------------
-# Toeplitz inverse recursion of the series oracle
+# Toeplitz inverse recursion
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize(
@@ -113,7 +114,7 @@ def test_toeplitz_inverse_is_an_inverse():
 
 def test_docstring_examples_pass():
     result = doctest.testmod(kernels)
-    assert result.attempted >= 1 and result.failed == 0
+    assert result.attempted >= 3 and result.failed == 0
 
 
 def test_toeplitz_inverse_rejects_singular_and_bad_length():
@@ -255,12 +256,14 @@ def test_banded_factor_storage_layout():
         spec("HF5", beta=0.8),
         spec("DC3", beta=0.6, alpha=0.45),
         spec("HC6", beta=0.8, alpha=1.0),
+        spec("DC6", beta=0.7, alpha=0.5),
         spec("DC4", beta=0.9, alpha=0.0),
     ],
     ids=lambda s: s.to_kv(),
 )
-def test_series_route_reproduces_closed_forms(sp):
-    T = 8
+@pytest.mark.parametrize("T", [1, 2, 3, 8])
+def test_series_route_reproduces_closed_forms(sp, T):
+    # T <= p - 1 leaves DC's u0 z term out of every entry
     assert maxrel(series_kernel(sp, T), build_kernel(sp, T)) < 1e-12
 
 
@@ -421,6 +424,8 @@ def test_first_row_matches_mpmath(name, alpha, beta):
     T = 200
     want = _mpmath_first_row(sp, T)
     np.testing.assert_allclose(build_kernel(sp, T)[0], want, rtol=1e-14, atol=0)
+    for short in (1, 2, 3):
+        np.testing.assert_allclose(build_kernel(sp, short)[0], want[:short], rtol=1e-14, atol=0)
     assert leading_variance.__wrapped__(sp) == pytest.approx(want[0], rel=1e-14, abs=0)
 
 
@@ -651,14 +656,6 @@ def test_factor_past_the_largest_double_is_refused(sp, T, fits):
 def test_ss_factor_needs_only_a_finite_l():
     # SS forms no L L^T: its dense factor at gamma = 0.3, T = 200 peaks at 1.4e157
     assert np.all(np.isfinite(inverse_cholesky(spec("SS", gamma=0.3), 200).bands))
-
-
-def test_first_row_past_the_largest_double_is_refused(monkeypatch):
-    # no admitted TC row reaches the largest double (TC10 peaks at 6.7e307
-    # as beta -> 1), so the guard is exercised with inflated differences
-    monkeypatch.setattr(kernels, "_tc_differences", lambda p, beta: np.full(p, 1e308))
-    with pytest.raises(ConditioningError, match="largest double"):
-        build_kernel(spec("TC3", beta=0.5), 4)
 
 
 @pytest.mark.parametrize("bandwidth", [0, 1, 2, 4, 8])
