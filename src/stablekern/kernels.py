@@ -20,9 +20,9 @@ operator coefficients and inverse series; so ``TC`` and ``TCd(1)``, or
 
 The kernels are exponentially convex, ``K[t+1, s+1] = beta * K[t, s]``, so
 an order >= 3 kernel is built from its first row alone, in closed form from
-Newton differences (:func:`_first_row`).  Only what has no closed form, the
-trailing ``p x p`` corner of the factor and DC's lower differences, is a
-certified series, memoized per spec (:func:`_series`); it starts at the
+Newton differences, each a sum of positive terms (:func:`_first_row`).  Only
+the trailing ``p x p`` corner of the factor has no closed form: it is a
+certified series, memoized per spec (:func:`_series`), that starts at the
 length where the tail would certify to ``_SERIES_TOL``, doubles at most
 ``_MAX_DOUBLINGS`` times and never past ``_MAX_SERIES_TERMS`` terms, and
 otherwise raises ``ConditioningError``.
@@ -41,7 +41,8 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache
+from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
@@ -78,8 +79,8 @@ __all__ = [
 #: order ``delta``; the remaining tags are fixed-order families.
 FAMILIES = ("DI", "TC", "DC", "SS", "TCd", "DCd", "HFd", "HCd")
 
-#: Highest admitted order ``delta``; one series attempt at order 10 peaks at
-#: 137 MiB (see ``_MAX_SERIES_TERMS``).
+#: Highest admitted order ``delta``; one corner series attempt at order 10
+#: peaks at 112 MiB (see ``_MAX_SERIES_TERMS``).
 MAX_ORDER = 10
 
 # family -> (stem, order, hyperparameters); order None is taken from delta,
@@ -112,10 +113,9 @@ _SERIES_TOL = 1e-13
 _MAX_DOUBLINGS = 6
 
 # Longest truncation a series may try; the start length grows like
-# 1 / (1 - beta), so without it a beta near 1 exhausts memory.  One attempt at
-# this length peaks at 56, 80 and 112 MiB for the corners of orders 3, 6 and
-# 10, and 32, 73 and 137 MiB for DC's differences (tracemalloc), and takes
-# 0.3-0.4 s (orders 3-6, 2-vCPU x86-64 VM).
+# 1 / (1 - beta), so without it a beta near 1 exhausts memory.  One corner
+# attempt at this length peaks at 56, 80 and 112 MiB for orders 3, 6 and 10,
+# TC or DC alike (tracemalloc), and takes 0.1-0.4 s (2-vCPU x86-64 VM).
 # Every beta <= 0.999 starts at <= 74k terms (order 10).
 _MAX_SERIES_TERMS = 2 ** 20
 
@@ -499,20 +499,6 @@ def _order2_entries(T: int, beta: float, alpha: float) -> np.ndarray:
     return _powers(beta, T)[mx] * vals
 
 
-def _positive_sums(beta: float, n: int, z: np.ndarray, Y: np.ndarray) -> np.ndarray | None:
-    """``sum_{j < n} beta^(j+1) z_j y_j`` for each row ``y`` of ``Y``, or
-    ``None`` unless every tail is below ``_SERIES_TOL`` of its sum: ``|z|``,
-    ``|y|`` are log-concave (binomials, alone or convolved with ``|alpha|**j``),
-    so a tail is at most ``beta^(n+1) |z_n y_n| / (1 - rho)``, ``rho = beta q
-    max(q, |y_{n+1} / y_n|)``, ``q = |z_{n+1} / z_n|``."""
-    w = beta ** np.arange(1, n + 1, dtype=float) * z[:n]
-    sums = np.array([np.dot(w, y[:n]) for y in Y])  # BLAS dots: a strided matmul sums serially
-    q = abs(z[n + 1] / z[n])
-    rho = beta * q * np.maximum(q, np.abs(Y[:, n + 1] / Y[:, n]))
-    tail = beta ** (n + 1) * abs(z[n]) * np.abs(Y[:, n]) / (1.0 - rho)
-    return sums if np.all((rho < 1.0) & (tail < _SERIES_TOL * np.abs(sums))) else None
-
-
 @lru_cache(maxsize=64)
 def _binomials(T: int, m: int) -> np.ndarray:
     """Read-only ``C(d, k)`` at ``[d, k]``, ``d < T``, ``k < m``, rounded once."""
@@ -532,23 +518,50 @@ def _tc_differences(p: int, beta: float) -> np.ndarray:
     return beta * (weights @ _powers(beta, p - 1)) / (1.0 - beta) ** (2 * p - 1 - np.arange(p))
 
 
+def _dc_differences(p: int, alpha: float, beta: float) -> np.ndarray:
+    """DCp's ``Delta^m s[0]`` (see :func:`_first_row`), ``m < q = p - 1``, then
+    ``u0``, as sums of positive terms (differencing ``s``, or a monomial form,
+    cancels near ``alpha = beta = 1``).  ``z = x^(q) * alpha^i``, ``x^(c)_n =
+    C(n+c-1, c-1)``, and ``Delta^m z`` is the order-``b = q-m`` series shifted
+    by ``m``; summed over ``i``, the geometric weights leave TC-type sums ``H[i,
+    k] = sum_n beta^n C(n+i, i) C(n+k, k)``, with ``y_e`` the ``e``-fold prefix
+    sums of ``H[q-1, :]``, ``r = alpha beta``, ``rho = 1 - r`` and ``sigma = 1
+    - alpha r`` (formed without cancellation):  ``Delta^m s[0] = beta / sigma
+    [sum_{e<=m} alpha^(m-e) y_e[b-1] + r sum_{l<b} y_m[b-1-l] / rho^(l+1) +
+    alpha^m r sum_{k<q} H[k, b-1] / rho^(q-k)]``."""
+    q, w, r = p - 1, 1.0 - beta, alpha * beta
+    rho, sigma = (1.0 - alpha) + alpha * w, (1.0 - alpha) * (1.0 + alpha) + alpha * alpha * w
+    C, k = _binomials(q, q), np.arange(q)
+    H = (C * _powers(beta, q - 1)) @ C.T / w ** (k[:, None] + k + 1)
+    y, last = H[q - 1].tolist(), (rho ** (k - q) @ H).tolist()
+    out, u = [], [0.0] * q
+    for m in range(q):  # q <= 9: lists beat numpy's per-call cost
+        b = q - m
+        y = list(accumulate(y)) if m else y
+        u = [alpha * ui + yi for ui, yi in zip(u, y)]  # sum_{e<=m} alpha^(m-e) y_e
+        inner = sum(y[b - 1 - l] / rho ** (l + 1) for l in range(b))
+        out.append(beta / sigma * (u[b - 1] + r * inner + alpha ** m * r * last[b - 1]))
+    return np.array(out + [alpha ** q * beta / (rho ** q * sigma)])
+
+
 def _first_row(spec: KernelSpec, T: int) -> np.ndarray:
     """``r[d] = K[1, 1 + d] = beta^d s[d]``, ``d < T``, of an order ``p >= 3``
     base spec, ``s[d] = sum_j beta^(j+1) z_j z_{j+d}`` (``z`` the inverse
     series), from Newton differences: ``s[d] = sum_{m < p} C(d, m) Delta^m
     s[0]`` for TC; DC's last is ``u0 alpha^d``, so ``s[d] = sum_{m < p-1} C(d,
     m) Delta^m s[0] + u0 z_{d-p+1}``, ``u0 = alpha^(p-1) beta / ((1 - alpha
-    beta)^(p-1) (1 - alpha^2 beta))``.  All terms are positive and ``s`` grows
+    beta)^(p-1) (1 - alpha^2 beta))`` (:func:`_tc_differences`,
+    :func:`_dc_differences`).  All terms are positive and ``s`` grows
     polynomially in ``d``, so no row of a buildable ``T`` overflows: its largest
     entry ``s[0]`` stays below 6.7e307 (TC10 as ``beta -> 1``; DC's is no larger)."""
-    p, beta, alpha = spec.bandwidth, spec.beta, spec.alpha
+    p, beta = spec.bandwidth, spec.beta
     if spec.family == "TCd":
         s = _binomials(T, p) @ _tc_differences(p, beta)
     else:
-        q = p - 1
-        s = _binomials(T, q) @ _series(spec).differences
-        u0 = alpha ** q * beta / ((1.0 - alpha * beta) ** q * (1.0 - alpha * alpha * beta))
-        s[q:] += u0 * _inverse_series(spec, max(T - q, 0))
+        diffs = _dc_differences(p, spec.alpha, beta)
+        s = _binomials(T, p - 1) @ diffs[:-1]
+        if T >= p:  # K[1, 1] alone does not pay for the filter
+            s[p - 1:] += diffs[-1] * _inverse_series(spec, T - p + 1)
     return _powers(beta, T - 1) * s
 
 
@@ -638,63 +651,45 @@ def _ss_factor(spec: KernelSpec, T: int) -> tuple[np.ndarray, float]:
     return bands, -2.0 * np.sum(np.log(bands[0]))
 
 
-@dataclass(frozen=True)
-class _Series:
-    """The certified series of an order ``p >= 3`` base spec: the corner
-    ``U``, upper triangular with a positive diagonal and ``J C0 J = U^T U``
-    (``C0 = K[:p, :p]``, ``J`` the reversal), and the sums ``s[0 .. p-1]``."""
-
-    spec: KernelSpec
-    corner: np.ndarray
-    sums: np.ndarray
-
-    @cached_property
-    def differences(self) -> np.ndarray:
-        """DC's ``Delta^m s[0]``, ``m < p - 1`` (see :func:`_first_row`),
-        summed on first use, so fits never pay for them: ``Delta^m z`` is the
-        order-``(p-m)`` series shifted by ``m``, so each is a sum of positive
-        terms (differencing ``s`` loses 4e-3 at DC6, 0.5, 0.999, m = 4)."""
-        spec, inverse = self.spec, _SERIES["DC"][1]
-        p, alpha = spec.bandwidth, spec.alpha
-
-        def attempt(n):
-            Y = np.fromiter((inverse(p - m, alpha, n + m + 2)[m:] for m in range(1, p - 1)),
-                            np.dtype((float, n + 2)), p - 2)
-            out = _positive_sums(spec.beta, n, inverse(p, alpha, n + 2), Y)
-            return None if out is None else np.r_[self.sums[0], out]
-
-        out = _certified(spec, attempt, f"Newton differences of {spec.display_name}")
-        out.setflags(write=False)
-        return out
+def _tail_certified(beta: float, n: int, z: np.ndarray, Y: np.ndarray) -> bool:
+    """Whether, for each row ``y`` of ``Y``, the tail of ``sum_j beta^(j+1) z_j
+    y_j`` past ``j = n`` is below ``_SERIES_TOL`` of the first ``n`` terms:
+    ``|z|``, ``|y|`` are log-concave (binomials, alone or convolved with
+    ``|alpha|**j``), so a tail is at most ``beta^(n+1) |z_n y_n| / (1 - rho)``,
+    ``rho = beta q max(q, |y_{n+1} / y_n|)``, ``q = |z_{n+1} / z_n|``."""
+    w = beta ** np.arange(1, n + 1, dtype=float) * z[:n]
+    sums = np.array([np.dot(w, y[:n]) for y in Y])  # BLAS dots: a strided matmul sums serially
+    q = abs(z[n + 1] / z[n])
+    rho = beta * q * np.maximum(q, np.abs(Y[:, n + 1] / Y[:, n]))
+    tail = beta ** (n + 1) * abs(z[n]) * np.abs(Y[:, n]) / (1.0 - rho)
+    return bool(np.all((rho < 1.0) & (tail < _SERIES_TOL * np.abs(sums))))
 
 
 @lru_cache(maxsize=1024)
-def _series(spec: KernelSpec) -> _Series:
-    """The :class:`_Series` of a base spec, memoized, read-only and a function
-    of the spec alone (``HC3`` shares ``DC3``'s).  The windows ``W[m, t] =
-    beta^((m+1)/2) z_{m-t}``, ``m = 0 .. n+p-2``, have the Gram ``C0`` and
-    hold every term of the certified ``s[d]`` (``C0[t, t+d] = beta^t s[d]``),
-    so their tail is no larger; ``U`` is the R factor of the flipped ``W J``.
-    """
+def _series(spec: KernelSpec) -> np.ndarray:
+    """The corner of an order ``p >= 3`` base spec, memoized, read-only and a
+    function of the spec alone (``HC3`` shares ``DC3``'s): ``U``, upper
+    triangular with a positive diagonal and ``J C0 J = U^T U`` (``C0 = K[:p,
+    :p]``, ``J`` the reversal).  The windows ``W[m, t] = beta^((m+1)/2)
+    z_{m-t}``, ``m = 0 .. n+p-2``, have the Gram ``C0`` and hold every term of
+    the certified ``s[d]`` (``C0[t, t+d] = beta^t s[d]``), so their tail is no
+    larger; ``U`` is the R factor of the flipped ``W J``."""
     p = spec.bandwidth
 
     def attempt(n):
         z = _inverse_series(spec, n + p + 1)
-        s = _positive_sums(spec.beta, n, z, as_strided(z, (p, n + 2), z.strides * 2))  # z[d:]
-        if s is None:
-            return None
+        if not _tail_certified(spec.beta, n, z, as_strided(z, (p, n + 2), z.strides * 2)):
+            return None  # the rows of the view are z[d:], d < p
         # row m of the view holds z_{m-p+1} .. z_m: the windows, flipped
         W = np.empty((n + p - 1, p), order="F")
         np.multiply(sliding_window_view(np.concatenate((np.zeros(p - 1), z[: n + p - 1])), p),
                     spec.beta ** (np.arange(1, n + p) / 2.0)[:, None], out=W)
-        return dgeqrf(W, overwrite_a=1)[0][:p], s
+        return dgeqrf(W, overwrite_a=1)[0][:p]
 
-    R, s = _certified(spec, attempt, f"series of {spec.display_name}")
-    U = np.triu(R)
+    U = np.triu(_certified(spec, attempt, f"series of {spec.display_name}"))
     U *= np.sign(np.diag(U))[:, None]
     U.setflags(write=False)
-    s.setflags(write=False)
-    return _Series(spec, U, s)
+    return U
 
 
 def _series_factor(spec: KernelSpec, T: int) -> tuple[np.ndarray, float]:
@@ -708,7 +703,7 @@ def _series_factor(spec: KernelSpec, T: int) -> tuple[np.ndarray, float]:
     stem, p = _CANONICAL[spec.family, spec.delta]
     if T < p + 2:
         raise DimensionError(f"order-{p} families need dim >= delta + 2 = {p + 2}; got {T}")
-    U = _series(spec.base()).corner
+    U = _series(spec.base())
     rcond = dtrcon(U)[0]
     error = np.finfo(float).eps / rcond if rcond > 0 else math.inf
     if not error <= _CORNER_TOL:
@@ -763,7 +758,9 @@ _RECORDS = {
         kappa=lambda s: 1.0 - s.beta,
     ),
     ("DC", 1): _Record(
-        entries=lambda s, T: _powers(s.alpha, T - 1)[_grid(T)[2]] * _powers(s.beta, T)[_grid(T)[0]],
+        # (alpha beta)^|t-s| beta^min(t, s): |alpha beta| < 1, so no power overflows
+        entries=lambda s, T: (_powers(s.alpha * s.beta, T - 1)[_grid(T)[2]]
+                              * _powers(s.beta, T)[_grid(T)[1]]),
         factor=lambda s, T: _order1_bands(T, s.beta, s.alpha, _dc1_kappa(s)),
         k11=lambda s: float(s.beta),
         kappa=_dc1_kappa,
@@ -784,15 +781,14 @@ _RECORDS = {
     ),
 }
 
-# Orders >= 3, unnormalized (the scale hyperparameter absorbs the constant),
-# are exponentially convex: K[t, s] = beta^(min(t, s) - 1) r[|t - s|].
-# K[1, 1] = s[0] is closed for TC, and for DC the sum the factor's series shares.
+# Orders >= 3, unnormalized (the scale hyperparameter absorbs the constant), are
+# exponentially convex: K[t, s] = beta^(min(t, s) - 1) r[|t - s|].  The row r,
+# and so K[1, 1] = r[0], is closed; only the factor's corner is a series.
 _SERIES_RECORD = _Record(
     entries=lambda s, T: (_powers(s.beta, T - 1)[_grid(T)[1] - 1]
                           * _first_row(s.base(), T)[_grid(T)[2]]),
     factor=_series_factor,
-    k11=lambda s: float(_tc_differences(s.delta, s.beta)[0] if s.family in ("TCd", "HFd")
-                        else _series(s.base()).sums[0]),
+    k11=lambda s: float(_first_row(s.base(), 1)[0]),
 )
 
 

@@ -84,8 +84,9 @@ def test_kernel_ill_conditioned_factor_exit_1(capsys, mode):
 
 
 def test_kernel_dc6_near_unit_decay_is_bounded():
-    # the series of DC6 at beta = 0.999 certifies within its doubling cap;
-    # its trailing corner is refused with an error, not a traceback
+    # the DC6 kernel at beta = 0.999 is closed; its corner series certifies
+    # within its doubling cap, and the corner is refused with an error, not a
+    # traceback
     src = str(Path(stablekern.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     argv = [sys.executable, "-m", "stablekern.cli", "kernel", "--family", "DC6",
@@ -126,6 +127,20 @@ def test_kernel_past_the_largest_double_exit_1(capsys, argv):
     captured = capsys.readouterr()
     assert captured.err.startswith("error:") and "largest double" in captured.err
     assert captured.out == ""
+
+
+def test_kernel_dc_large_alpha_is_finite(capsys):
+    # alpha^(dim-1) overflows here; the entries (alpha beta)^|t-s| beta^min(t,s)
+    # do not, where the command once printed 12432 NaN
+    mp = pytest.importorskip("mpmath")
+    assert run_cli("kernel", "--family", "DC", "--beta", "1e-7", "--alpha", "3000",
+                   "--dim", "200") == 0
+    K = np.loadtxt(io.StringIO(capsys.readouterr().out), delimiter=",")
+    t = np.arange(1, 201)
+    with mp.workdps(30):
+        ab, b = mp.mpf(3000.0) * mp.mpf(1e-7), mp.mpf(1e-7)
+        want = np.array([[float(ab ** abs(i - j) * b ** min(i, j)) for j in t] for i in t])
+    np.testing.assert_allclose(K, want, rtol=1e-13, atol=np.finfo(float).tiny)
 
 
 @pytest.mark.parametrize("mode", ["--cholesky", "--logdet", "--inverse"])

@@ -411,15 +411,16 @@ def _mpmath_first_row(base, T):
 
 
 FIRST_ROW_CASES = ([(f"TC{p}", None) for p in range(3, MAX_ORDER + 1)]
-                   + [(f"DC{p}", a) for p in range(3, MAX_ORDER + 1) for a in (0.0, 0.5, 1.0)])
+                   + [(f"DC{p}", a) for p in range(3, MAX_ORDER + 1)
+                      for a in (0.0, 0.5, 0.999, 1.0)])
 
 
 @pytest.mark.parametrize("beta", [0.3, 0.9, 0.99, 0.999])
 @pytest.mark.parametrize("name, alpha", FIRST_ROW_CASES,
                          ids=[f"{n}" if a is None else f"{n}-{a}" for n, a in FIRST_ROW_CASES])
 def test_first_row_matches_mpmath(name, alpha, beta):
-    # the Newton-difference rows (closed for TC, a memoized series for DC's
-    # lower differences) against the 90-digit Stein corner and recursion
+    # the closed Newton-difference rows against the 90-digit Stein corner and
+    # recursion; alpha = 0.999 is where a monomial form of DC's would cancel
     sp = spec(name, beta=beta, **({} if alpha is None else {"alpha": alpha}))
     T = 200
     want = _mpmath_first_row(sp, T)
@@ -448,31 +449,25 @@ def _clear_caches():
 
 
 def test_series_loops_are_bounded(monkeypatch):
-    # a zero tolerance never certifies: each series that remains, the
-    # corner's and DC's lower Newton differences, must give up after its
-    # fixed number of doublings instead of growing without end
+    # a zero tolerance never certifies: the one series that remains, the
+    # corner's, must give up after its fixed number of doublings instead of
+    # growing without end
     _clear_caches()
     dc = spec("DC3", beta=0.9, alpha=0.5)
     inverse_cholesky(dc, 10)  # its corner certifies at the documented tolerance
     monkeypatch.setattr(kernels, "_SERIES_TOL", 0.0)
-    with pytest.raises(ConditioningError, match="does not certify"):
-        build_kernel(dc, 10)
-    tc = spec("TC3", beta=0.9)
-    with pytest.raises(ConditioningError, match="does not certify"):
-        inverse_cholesky(tc, 10)
-    with pytest.raises(ConditioningError, match="does not certify"):
-        leading_variance.__wrapped__(spec("DC3", beta=0.8, alpha=0.5))
-    # TC rows and leading variances are closed forms: no series to bound
-    assert np.all(np.isfinite(build_kernel(tc, 10))) and leading_variance.__wrapped__(tc) > 0
+    for sp in (spec("TC3", beta=0.9), spec("DC3", beta=0.8, alpha=0.5)):
+        with pytest.raises(ConditioningError, match="does not certify"):
+            inverse_cholesky(sp, 10)
+        # rows and leading variances are closed forms: no series to bound
+        assert np.all(np.isfinite(build_kernel(sp, 10))) and leading_variance.__wrapped__(sp) > 0
 
 
 @pytest.mark.parametrize(
     "name, kw, call",
     [("TC3", {}, "inverse_cholesky(sp, 8)"), ("TC6", {}, "inverse_cholesky(sp, 8)"),
-     ("DC3", {"alpha": 0.5}, "inverse_cholesky(sp, 8)"),
-     ("DC3", {"alpha": 0.5}, "leading_variance(sp)"),
-     ("DC3", {"alpha": 0.5}, "build_kernel(sp, 5)")],
-    ids=["TC3-factor", "TC6-factor", "DC3-factor", "DC3-leading_variance", "DC3-kernel"],
+     ("DC3", {"alpha": 0.5}, "inverse_cholesky(sp, 8)")],
+    ids=["TC3-factor", "TC6-factor", "DC3-factor"],
 )
 def test_series_near_unit_decay_is_refused_by_length(name, kw, call):
     # at beta = 1 - 1e-7 a series would start at ~5e8 terms; it must be
@@ -495,10 +490,17 @@ def test_series_near_unit_decay_is_refused_by_length(name, kw, call):
     assert done.stderr.startswith("error:") and "series terms" in done.stderr
 
 
-@pytest.mark.parametrize("name", ["TC3", "TC6"])
-def test_closed_form_rows_need_no_series_near_unit_decay(name):
-    # where the series is refused by length, TC's rows are still closed forms
-    sp = spec(name, beta=1 - 1e-7)
+@pytest.mark.parametrize(
+    "name, kw, beta",
+    [("TC3", {}, 1 - 1e-7), ("TC6", {}, 1 - 1e-7), ("DC3", {"alpha": 0.5}, 1 - 1e-7),
+     ("DC6", {"alpha": 0.5}, 1 - 1e-7), ("DC3", {"alpha": 0.5}, 1e-30),
+     ("DC6", {"alpha": 0.5}, 1e-30)],
+    ids=["TC3", "TC6", "DC3", "DC6", "DC3-tiny", "DC6-tiny"],
+)
+def test_closed_form_rows_need_no_series_near_unit_decay(name, kw, beta):
+    # where the corner's series is refused by length, the rows are still
+    # closed forms, and so they are where beta^n underflows
+    sp = spec(name, beta=beta, **kw)
     want = _mpmath_first_row(sp, 5)
     np.testing.assert_allclose(build_kernel(sp, 5)[0], want, rtol=1e-14, atol=0)
     assert leading_variance.__wrapped__(sp) == pytest.approx(want[0], rel=1e-14, abs=0)
@@ -524,8 +526,7 @@ def test_series_length_bound_leaves_room_at_the_fitting_box_edge(sp):
 def test_series_certify_at_their_first_length(monkeypatch, name, kw, beta):
     # the start length allows for the binomial growth of the inverse
     # series, so no query pays for a failed attempt; from cleared caches a
-    # spec runs one series, the corner's, which its leading variance shares,
-    # and DC's kernel one more, for its lower Newton differences
+    # spec runs one series, the corner's
     attempts = []
     certified = kernels._certified
 
@@ -545,8 +546,25 @@ def test_series_certify_at_their_first_length(monkeypatch, name, kw, beta):
         assert "backward error" in str(exc)  # refused after its one attempt
     leading_variance.__wrapped__(sp)
     build_kernel(sp, 50)
-    want = [True] if name.startswith("TC") else [True, True]
-    assert [ok for _, ok in attempts] == want, attempts
+    assert [ok for _, ok in attempts] == [True], attempts
+
+
+@pytest.mark.parametrize(
+    "sp",
+    [spec("TC3", beta=0.9), spec("TC10", beta=0.999), spec("HF6", beta=0.5),
+     spec("DC3", beta=0.9, alpha=0.5), spec("DC10", beta=0.999, alpha=1.0),
+     spec("HC6", beta=0.5, alpha=0.3), spec("DC", beta=0.1, alpha=-2.0)],
+    ids=lambda s: s.to_kv(),
+)
+def test_rows_and_leading_variances_run_no_series(monkeypatch, sp):
+    # from cleared caches, a kernel and its leading variance are closed forms:
+    # only the factor's corner reaches the certified series
+    attempts = []
+    monkeypatch.setattr(kernels, "_certified", lambda *args: attempts.append(args))
+    _clear_caches()
+    build_kernel(sp, 50)
+    leading_variance(sp)
+    assert attempts == []
 
 
 PURITY_SPECS = [spec("TC3", beta=0.999), spec("DC3", beta=0.999, alpha=0.5),
@@ -556,7 +574,8 @@ PURITY_SPECS = [spec("TC3", beta=0.999), spec("DC3", beta=0.999, alpha=0.5),
 def test_series_memo_is_a_pure_function_of_the_spec():
     # every output, and every refusal (DC6's corner), is the same to the last
     # bit whatever T, query order and entry point first filled the memo (HC3
-    # shares DC3's entry; the reverse run fills it from the leading variance)
+    # shares DC3's entry; the reverse run asks for the leading variances first,
+    # which leave it empty)
     runs = []
     for order in (PURITY_SPECS, PURITY_SPECS[::-1]):
         _clear_caches()
