@@ -11,7 +11,10 @@ directly on the ``N x N`` output covariance or through a QR factorization of
 the stacked least-squares system, which costs ``O(T^3)`` per trial point
 after a one-time reduction of the data matrix.  The tuner runs BFGS on the
 QR likelihood with its adjoint gradient: the factors of the QR update give
-every term, and ``M^{-1}`` is needed only on the band of the kernel factor.
+every term, ``M^{-1} L`` is needed only on the band of the kernel factor,
+and the factor's analytic tangent (:func:`~stablekern.kernels._factor_tangent`)
+gives its derivatives along the shape parameters at the cost of about one
+factor.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, solve_triangular, toeplitz
-from scipy.linalg.lapack import dtpqrt, dtrtri
+from scipy.linalg.lapack import dtpqrt, dtrtrs
 from scipy.optimize import minimize
 
 from ._blas import single_threaded
@@ -41,9 +44,9 @@ from .kernels import (
     KernelSpec,
     _band_index,
     _cached_factor,
-    _dense_chol_of_inverse,
+    _dense_factors,
     _display_name,
-    inverse_cholesky,
+    _factor_tangent,
     leading_variance,
     parse_family,
 )
@@ -214,7 +217,7 @@ def rls_estimate(A, y, K, lam: float, sigma2: float) -> np.ndarray:
     if isinstance(K, BandedFactor):
         Lt = K.to_dense().T
     else:
-        Lt = _dense_chol_of_inverse(np.asarray(K, dtype=float)).T
+        Lt = _dense_factors(np.asarray(K, dtype=float))[1].T
     S = np.vstack([A, math.sqrt(sigma2 / lam) * Lt])
     rhs = np.r_[y, np.zeros(T)]
     Q, R = np.linalg.qr(S)
@@ -386,14 +389,17 @@ class _BoxTransform:
             out.append(v)
         return out
 
-    def dlog_lam_dz(self, z0) -> float:
-        """Derivative of ``log lam`` along its coordinate ``z[0]`` (zero where
-        :meth:`from_z` clamps)."""
-        if not -40.0 < z0 < 40.0:
-            return 0.0
-        p = _expit(float(z0))
-        lo, hi = self.bounds[0]
-        return (math.log(hi) - math.log(lo)) * p * (1.0 - p)
+    def dvalue_dz(self, z) -> np.ndarray:
+        """Derivative of each value, ``log lam`` for lam, along its own
+        coordinate (zero where :meth:`from_z` clamps)."""
+        out = np.zeros(len(z))
+        for i, (zi, (lo, hi), name) in enumerate(zip(z, self.bounds, self.names)):
+            if -40.0 < zi < 40.0:
+                if name == "lam":
+                    lo, hi = math.log(lo), math.log(hi)
+                p = _expit(float(zi))
+                out[i] = (hi - lo) * p * (1.0 - p)
+        return out
 
 
 _BOUNDS = {"lam": LAMBDA_BOUNDS, "beta": DECAY_BOUNDS, "gamma": DECAY_BOUNDS,
@@ -413,10 +419,6 @@ _DEFAULT_ALPHA_GRID = (0.15, 0.5, 0.85)
 # or the QR update refuses it; the point then scores ``inf``.
 _REFUSED = (ConditioningError, DecompositionError, np.linalg.LinAlgError)
 
-# Central-difference step, in box coordinates, of the shape derivatives of
-# the kernel factor and of its leading variance.
-_SHAPE_STEP = 1e-5
-
 # BFGS stops at this max-norm of the box-coordinate gradient.  An optimum on
 # a box bound (alpha -> 0 or 1) lies at z -> +-inf, where the NLL still
 # falls by about the gradient itself, so the tolerance is what such a fit
@@ -428,22 +430,13 @@ _GRAD_TOL = 1e-8
 # Likelihood evaluations one BFGS step may spend (the first step counts its
 # start point); later trial points of the step score ``inf`` unevaluated.
 # Without the cap, over the 120 fits of the first four ``mc-serial``
-# benchmark units, 97 % of accepted steps needed at most 3 evaluations, and
-# the 28 that needed more than 10 each lowered the NLL by 0-16 ulps; the 150
-# line searches that failed spent 11-65 evaluations on values within a few
-# ulps of the incumbent.  A cap of 4 cost one fit 1.3e-3 of its NLL; 6 saved
-# only 2 % more evaluations than 10.
+# benchmark units, 99 % of accepted steps needed at most 3 evaluations, and
+# the 16 that needed more than 10 each lowered the NLL by 0-151 ulps; the 131
+# line searches that failed after more than 10 spent 18-65 evaluations on
+# values a median 4 ulps (at most 3e-12 relative) from the incumbent.  A cap
+# of 4 cost one fit 1.4e-3 of its NLL; 6 saved only 2 % more evaluations
+# than 10.
 _LINE_SEARCH_EVALS = 10
-
-
-@lru_cache(maxsize=64)
-def _band_window_index(T: int, p: int) -> np.ndarray:
-    """``idx[a, b, c]``, ``a, b = 0 .. p``: position of ``X[c+a, c+b]`` of a
-    symmetric ``T x T`` matrix of bandwidth ``p`` stored as ``(p+1) x (T+p)``
-    rows ``X[i, i+d]``; entries past the matrix land in the zero padding."""
-    a = np.arange(p + 1)
-    d = np.abs(np.subtract.outer(a, a))
-    return (d * (T + p) + np.minimum.outer(a, a))[:, :, None] + np.arange(T)
 
 
 @lru_cache(maxsize=64)
@@ -453,22 +446,19 @@ def _shift_index(T: int, p: int) -> np.ndarray:
     return np.minimum(np.add.outer(np.arange(p + 1), np.arange(T)), T)
 
 
-def _inverse_times_factor(Rinv: np.ndarray, factor: BandedFactor) -> np.ndarray:
-    """Bands ``0 .. p`` of ``M^-1 L`` with ``M^-1 = Rinv Rinv'``, in the
-    factor's band storage: all of ``M^-1 L`` that a trace against a banded
-    ``dL`` reads.  ``M^-1`` itself is formed on its bands ``0 .. p`` only,
-    as row-pair dot products of ``Rinv``; a dense factor (SS) uses dense
-    products."""
-    T, p = factor.dim, factor.bandwidth
-    if p >= T - 1:
-        flat, row, col = _band_index(T, p)
-        ML = np.zeros((p + 1, T))
-        ML.ravel()[flat] = (Rinv @ (Rinv.T @ factor.to_dense()))[row, col]
-        return ML
-    Minv = np.zeros((p + 1, T + p))
-    for d in range(p + 1):
-        Minv[d, : T - d] = np.einsum("ij,ij->i", Rinv[: T - d], Rinv[d:])
-    return np.einsum("abc,bc->ac", Minv.ravel()[_band_window_index(T, p)], factor.bands)
+def _inverse_times_factor(R1: np.ndarray, factor: BandedFactor) -> np.ndarray:
+    """Bands ``0 .. p`` of ``M^-1 L``, ``M = R1'R1``, in the factor's band
+    storage: all of ``M^-1 L`` that a trace against a banded ``dL`` reads.
+    Two triangular solves: ``R1^-T L`` is ``Q2' / sqrt(c)``, the prior block
+    of the QR update's orthogonal factor, and a solve keeps it to working
+    accuracy where ``R1`` is graded, while ``R1^-1`` times ``L`` would not
+    (TC6 at beta = 0.95, T = 20: largest error 5e-5 against 2e-9)."""
+    T = factor.dim
+    ML = dtrtrs(R1, dtrtrs(R1, factor.to_dense(), trans=1)[0])[0]
+    flat, row, col = _band_index(T, factor.bandwidth)
+    out = np.zeros_like(factor.bands)
+    out.ravel()[flat] = ML[row, col]
+    return out
 
 
 class _Likelihood:
@@ -501,61 +491,40 @@ class _Likelihood:
         = A'A + c L L'`` and ``g = R1^-1 R2``, a parameter changes the NLL by
         ``g' d(cLL') g / sigma2 + T d log(lam / s) - 2 sum dL_ii / L_ii +
         tr(M^-1 d(cLL'))`` (Rasmussen & Williams, eq. 5.9, in QR form).  The
-        ``lam`` derivative is exact; ``dL`` and ``d log s`` along a shape
-        coordinate are central differences of :func:`inverse_cholesky` and
-        :func:`leading_variance`, one-sided where a side is refused.
+        factor, its tangent ``dL`` and ``d log s`` along every shape parameter
+        come from one :func:`~stablekern.kernels._factor_tangent`; the value
+        is the one :meth:`evaluate` gives, to the bit.
         """
         values = self.transform.from_z(z)
         refused = math.inf, np.zeros(len(values))
         try:
-            nll, R1, R2, _, factor, scale = self.evaluate(values)
+            spec = self.spec(values)
+            factor, dL, dlogs = _factor_tangent(spec, self.T)
+            scale = leading_variance(spec)
+            nll, R1, R2 = _nll_from_stack(self.R0, factor, values[0] / scale, self.sigma2,
+                                          self.N)
         except _REFUSED:
             return refused
         T, sigma2 = self.T, self.sigma2
-        Rinv, _ = dtrtri(R1, lower=0)
-        g = Rinv @ R2
+        g = dtrtrs(R1, R2)[0]
         c = sigma2 * scale / values[0]
         L = factor.bands
         windows = np.append(g, 0.0)[_shift_index(T, factor.bandwidth)]
         Lg = np.einsum("ac,ac->c", L, windows)
-        ML = _inverse_times_factor(Rinv, factor)
+        ML = _inverse_times_factor(R1, factor)
         # d(cLL') per unit d log c, contracted: quadratic and trace terms
         dlogc = Lg @ Lg / sigma2 + np.sum(L * ML)
-        grad = np.empty(len(values))
-        grad[0] = (T - c * dlogc) * self.transform.dlog_lam_dz(z[0])
-        for j in range(1, len(values)):
-            shape = self._shape_derivative(z, j, L, math.log(scale))
-            if shape is None:
-                return refused
-            dL, dlogs = shape
-            grad[j] = (
-                c * dlogs * dlogc
-                + 2.0 * c * (Lg @ np.einsum("ac,ac->c", dL, windows) / sigma2
-                             + np.sum(dL * ML))
-                - T * dlogs
-                - 2.0 * np.sum(dL[0] / L[0])
-            )
+        shape = (
+            c * dlogs * dlogc
+            + 2.0 * c * (np.einsum("kac,ac,c->k", dL, windows, Lg) / sigma2
+                         + np.einsum("kac,ac->k", dL, ML))
+            - T * dlogs
+            - 2.0 * np.sum(dL[:, 0] / L[0], axis=1)
+        )
+        grad = np.append(T - c * dlogc, shape) * self.transform.dvalue_dz(z)
         if not np.isfinite(grad).all():
             return refused
         return nll, grad
-
-    def _shape_derivative(self, z, j, bands, log_scale):
-        """``(dL bands, d log s)`` along ``z[j]``; ``None`` if both sides
-        are refused."""
-        sides = []
-        for step in (_SHAPE_STEP, -_SHAPE_STEP):
-            zs = np.array(z, dtype=float)
-            zs[j] += step
-            spec = self.spec(self.transform.from_z(zs))
-            try:
-                sides.append((step, inverse_cholesky(spec, self.T).bands,
-                              math.log(leading_variance(spec))))
-            except _REFUSED:
-                sides.append((0.0, bands, log_scale))
-        (h1, L1, s1), (h2, L2, s2) = sides
-        if h1 == h2:
-            return None
-        return (L1 - L2) / (h1 - h2), (s1 - s2) / (h1 - h2)
 
 
 def _bfgs(fun, z0, maxiter: int):

@@ -425,9 +425,10 @@ def _central_difference(f, z, h=1e-4):
     return grad
 
 
-# three interior box points per family: (z_lam, z_decay[, z_alpha]), at
-# decays 0.12, 0.27 and 0.38
-GRADIENT_POINTS = ((-0.5, -2.0, -0.8), (0.3, -1.0, 0.4), (1.0, -0.5, 1.2))
+# five interior box points per family: (z_lam, z_decay[, z_alpha]), at
+# decays 0.12, 0.27, 0.38, 0.80 and 0.95
+GRADIENT_POINTS = ((-0.5, -2.0, -0.8), (0.3, -1.0, 0.4), (1.0, -0.5, 1.2), (-0.2, 1.39, 0.3),
+                   (0.6, 2.96, -0.5))
 
 
 @pytest.mark.parametrize("name", FITTED_FAMILIES)
@@ -444,6 +445,39 @@ def test_likelihood_gradient_matches_differences(name):
 
 
 @pytest.mark.parametrize("name", FITTED_FAMILIES)
+def test_likelihood_value_with_gradient_is_the_evaluated_value(name):
+    # value_and_grad takes its factor from the tangent, evaluate from the
+    # factor memo: the two must agree to the bit, or refits would not repeat
+    ds, _ = _synthetic_dataset()
+    like = _likelihood(name, ds)
+    d = len(like.transform.names)
+    for point in GRADIENT_POINTS:
+        z = np.array(point[:d])
+        assert like.value_and_grad(z)[0] == like.evaluate(like.transform.from_z(z))[0]
+
+
+@pytest.mark.parametrize("name", ["TC3", "DC3"])
+def test_cold_gradient_runs_one_certified_series(monkeypatch, name):
+    # the corner of the factor and of its tangent come from one certified
+    # pass; central differences of the factor ran 1 + 2 per shape parameter
+    calls = []
+    real = kernels._certified
+
+    def counted(*args):
+        calls.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(kernels, "_certified", counted)
+    for cache in (kernels._series, kernels._cached_factor, leading_variance):
+        cache.cache_clear()
+    ds, _ = _synthetic_dataset()
+    like = _likelihood(name, ds)
+    f, grad = like.value_and_grad(np.array([0.3, 0.2, 0.1][: len(like.transform.names)]))
+    assert np.isfinite(f) and np.all(np.isfinite(grad))
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("name", FITTED_FAMILIES)
 def test_fit_is_a_minimum_for_the_simplex(name):
     # a Nelder-Mead restart from the returned point finds nothing better
     ds, _ = _synthetic_dataset()
@@ -455,40 +489,41 @@ def test_fit_is_a_minimum_for_the_simplex(name):
     assert res.nll - polish.fun <= 1e-8 * abs(res.nll)
 
 
-@pytest.mark.parametrize("name", ["TC3", "SS"])
+@pytest.mark.parametrize("name", ["TC3", "DC3", "SS"])
 def test_fit_refit_is_bit_identical_for_series_and_dense_factors(name):
     ds, _ = _synthetic_dataset()
     res = fit_hyperparameters(ds, name, T=15)
-    shape = res.spec.gamma if name == "SS" else res.spec.beta
-    res2 = fit_hyperparameters(ds, name, T=15, seeds=[(res.lam, shape)],
-                               use_default_grid=False)
+    like = _likelihood(name, ds, T=15)
+    seed = [res.lam, *(getattr(res.spec, n) for n in like.transform.names[1:])]
+    res2 = fit_hyperparameters(ds, name, T=15, seeds=[seed], use_default_grid=False)
     assert (res2.nll, res2.lam, res2.spec) == (res.nll, res.lam, res.spec)
     np.testing.assert_array_equal(res2.g_hat, res.g_hat)
 
 
-def test_refused_points_give_inf_or_one_sided_differences(monkeypatch):
+def test_refused_points_give_inf_and_their_neighbours_a_gradient(monkeypatch):
     ds, _ = _synthetic_dataset()
     like = _likelihood("TC3", ds)
     z = np.array([0.3, 0.0])
-    f, central = like.value_and_grad(z)
-    beta = like.transform.from_z(z)[1]
-    original = estimator.inverse_cholesky
-
-    def refuse_above(limit):
-        def factor(spec, dim):
-            if spec.beta > limit:
-                raise ConditioningError("refused")
-            return original(spec, dim)
-        return factor
-
-    monkeypatch.setattr(estimator, "inverse_cholesky", refuse_above(beta))
-    f1, one_sided = like.value_and_grad(z)
-    assert f1 == f
-    np.testing.assert_allclose(one_sided, central, rtol=1e-3)
-    monkeypatch.setattr(estimator, "inverse_cholesky", refuse_above(0.0))
+    f, grad = like.value_and_grad(z)
+    ref = _central_difference(lambda x: like.value_and_grad(x)[0], z)
+    # with the corner tolerance at this point's own estimated backward error,
+    # the point is accepted and a neighbour at the old difference step of
+    # 1e-5 (in z) is refused; the gradient needs no neighbour
+    sp = like.spec(like.transform.from_z(z))
+    step = like.spec(like.transform.from_z(z + np.array([0.0, 1e-5])))
+    error = np.finfo(float).eps / kernels.dtrcon(kernels._series(sp))[0]
+    monkeypatch.setattr(kernels, "_CORNER_TOL", error)
+    with pytest.raises(ConditioningError, match="backward error"):
+        kernels.inverse_cholesky(step, like.T)
+    f1, grad1 = like.value_and_grad(z)
+    assert f1 == f and np.array_equal(grad1, grad)
+    np.testing.assert_allclose(grad1, ref, rtol=1e-6, atol=0)
+    # a refused centre scores (inf, 0)
+    monkeypatch.setattr(kernels, "_CORNER_TOL", error / 2)
     f2, none = like.value_and_grad(z)
     assert f2 == np.inf and np.array_equal(none, np.zeros(2))
     # a refused centre: TC6 at beta = 0.999 fails its trailing corner
+    monkeypatch.undo()
     f3, grad3 = _likelihood("TC6", ds, T=50).value_and_grad(np.array([0.0, 40.0]))
     assert f3 == np.inf and np.all(np.isfinite(grad3))
 

@@ -1,5 +1,6 @@
 """Property test over the admitted domain of the DC-stem kernels: every
-validated spec and dimension gives finite output or a ``StableKernError``."""
+validated spec and dimension gives finite output, factor tangents included,
+or a ``StableKernError``."""
 
 import numpy as np
 import pytest
@@ -8,7 +9,13 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, reject, settings, strategies as st  # noqa: E402
 
 from stablekern.errors import ParameterError, StableKernError  # noqa: E402
-from stablekern.kernels import MAX_ORDER, KernelSpec, build_kernel, leading_variance  # noqa: E402
+from stablekern.kernels import (  # noqa: E402
+    MAX_ORDER,
+    KernelSpec,
+    _factor_tangent,
+    build_kernel,
+    leading_variance,
+)
 
 # beta over the whole open interval: tiny values by decade, the rest as floats
 BETAS = st.one_of(st.integers(3, 300).map(lambda e: 10.0 ** -e),
@@ -34,9 +41,15 @@ def dc_stem_specs(draw):
 @settings(max_examples=300, derandomize=True, deadline=None, database=None)
 @given(sp=dc_stem_specs(), T=st.integers(1, 200))
 def test_dc_stem_kernels_are_finite_or_refused(sp, T):
-    for call in (lambda: build_kernel(sp, T), lambda: leading_variance.__wrapped__(sp)):
+    for call in (lambda: build_kernel(sp, T), lambda: leading_variance.__wrapped__(sp),
+                 lambda: _tangent_values(sp, T)):
         try:
             out = call()
         except StableKernError:
             continue
         assert np.all(np.isfinite(out)), (sp, T)
+
+
+def _tangent_values(sp, T):
+    factor, dL, dlogk11 = _factor_tangent(sp, T)
+    return np.concatenate([factor.bands.ravel(), [factor.logdet_K], dL.ravel(), dlogk11])

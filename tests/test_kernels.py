@@ -12,8 +12,10 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from functools import lru_cache
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -651,6 +653,179 @@ def test_series_factor_matches_dense_oracles(name, kw, beta, T):
     assert np.max(np.abs(W @ SL @ SL.T - np.eye(T))) <= tol
     ld_oracle = 2.0 * np.sum(np.log(np.diag(dense_cholesky(K, lower=True))))
     assert abs(F.logdet_K - ld_oracle) <= tol * max(1.0, abs(ld_oracle))
+
+
+# ---------------------------------------------------------------------------
+# Factor tangents
+# ---------------------------------------------------------------------------
+
+TANGENT_CASES = (
+    [("DI", {}), ("TC", {}), ("DC", {"alpha": 0.5}), ("DC", {"alpha": -0.5}), ("SS", {}),
+     ("TC2", {}), ("DC2", {"alpha": 0.5}), ("HF2", {}), ("HC3", {"alpha": 0.5})]
+    + [(f"TC{p}", {}) for p in range(3, MAX_ORDER + 1)]
+    + [(f"DC{p}", {"alpha": a}) for p in range(3, MAX_ORDER + 1) for a in (0.0, 0.5, 1.0)]
+)
+TANGENT_IDS = [name + "".join(f"-{v}" for v in kw.values()) for name, kw in TANGENT_CASES]
+TANGENT_BETAS = (0.3, 0.8, 0.95, 0.99)
+
+
+def _tangent_spec(name, kw, beta):
+    return spec(name, **({"gamma": beta} if name == "SS" else {"beta": beta}), **kw)
+
+
+def _tangent_dims(sp):
+    return (3 if sp.bandwidth is None else sp.bandwidth + 2, 20, 50)
+
+
+def _shape_names(sp):
+    return [n for n in kernels._FAMILY_TABLE[sp.family][2] if n != "delta"]
+
+
+def _five_point(f, x, h, lo, hi):
+    """Five-point difference of ``f`` at ``x``: central, or one-sided where
+    ``x -+ 2h`` would leave ``[lo, hi]``."""
+    if lo <= x - 2 * h and x + 2 * h <= hi:
+        return (f(x - 2 * h) - 8 * f(x - h) + 8 * f(x + h) - f(x + 2 * h)) / (12 * h)
+    s = 1.0 if x - 2 * h < lo else -1.0
+    return s * (-25 * f(x) + 48 * f(x + s * h) - 36 * f(x + 2 * s * h) + 16 * f(x + 3 * s * h)
+                - 3 * f(x + 4 * s * h)) / (12 * h)
+
+
+def _parameter_step(sp, name):
+    """Difference step and admitted interval of a shape parameter."""
+    x = getattr(sp, name)
+    if name != "alpha":
+        return 1e-4 * min(x, 1.0 - x), 0.0, 1.0
+    if sp.family == "DC":
+        return 1e-4, -sp.beta ** -0.5, sp.beta ** -0.5
+    return 1e-4, 0.0, 1.0
+
+
+@pytest.mark.parametrize("beta", TANGENT_BETAS)
+@pytest.mark.parametrize("name, kw", TANGENT_CASES, ids=TANGENT_IDS)
+def test_factor_tangent_matches_differences(name, kw, beta):
+    # the factor comes back to the bit, refusals match, and d log K[1, 1] and
+    # dL match five-point differences of leading_variance and inverse_cholesky.
+    # Differences of the series corner and of SS's dense factor carry their
+    # rounding, about eps cond / h, so those columns are checked against
+    # 100-digit differences below
+    sp = _tangent_spec(name, kw, beta)
+    for T in _tangent_dims(sp):
+        try:
+            want = inverse_cholesky(sp, T)
+        except ConditioningError as exc:
+            with pytest.raises(ConditioningError) as refused:
+                kernels._factor_tangent(sp, T)
+            assert str(refused.value) == str(exc)
+            continue
+        factor, dL, dlogk11 = kernels._factor_tangent(sp, T)
+        assert (factor.dim, factor.bandwidth, factor.logdet_K) == (T, want.bandwidth, want.logdet_K)
+        np.testing.assert_array_equal(factor.bands, want.bands)
+        names = _shape_names(sp)
+        assert dL.shape == (len(names), *want.bands.shape) and dlogk11.shape == (len(names),)
+        # columns checked here: all of a closed factor, the graded ones of a
+        # series factor, none of SS's dense one
+        p = sp.bandwidth
+        graded = 0 if p is None else T if p <= 2 else T - p
+        for j, param in enumerate(names):
+            h, lo, hi = _parameter_step(sp, param)
+            x0 = getattr(sp, param)
+
+            def log_k11(x):
+                return math.log(leading_variance(replace(sp, **{param: x})))
+
+            ref = _five_point(log_k11, x0, h, lo, hi)
+            np.testing.assert_allclose(dlogk11[j], ref, rtol=1e-6, atol=1e-12 * abs(1.0 / h))
+            try:
+                ref = _five_point(lambda x: inverse_cholesky(replace(sp, **{param: x}), T).bands,
+                                  x0, h, lo, hi)
+            except ConditioningError:
+                continue  # a neighbour's corner is refused
+            # per column, relative to |dL| + |L|: a derivative may vanish
+            # (d log root / d beta changes sign at t = beta / (1 - beta) for TC)
+            d, r, L = dL[j][:, :graded], ref[:, :graded], want.bands[:, :graded]
+            err = np.abs(d - r).max(axis=0)
+            assert np.all(err <= 1e-6 * (np.abs(r).max(axis=0) + np.abs(L).max(axis=0))), (
+                T, param, err.max())
+
+
+def _mpmath_corner_inverse(base):
+    """``J U^-1 J`` with ``J C0 J = U^T U`` of an unflipped series spec, from
+    the Stein corner, in mpmath: the corner ``L22`` but for ``beta^(-(T-p)/2)``."""
+    mp = pytest.importorskip("mpmath")
+    p = base.delta
+    C0 = _mpmath_corner.__wrapped__(base)
+    J = mp.matrix([[1 if i + j == p - 1 else 0 for j in range(p)] for i in range(p)])
+    U = mp.cholesky(J * C0 * J).T
+    return J * U ** -1 * J
+
+
+def _mpmath_ss_factor(g, T):
+    """SS's dense ``L = U^-T`` (``K = U U^T``, ``U`` upper) in mpmath."""
+    mp = pytest.importorskip("mpmath")
+    K = mp.matrix([[g ** (2 * max(t, s) + min(t, s)) / 2 - g ** (3 * max(t, s)) / 6
+                    for s in range(1, T + 1)] for t in range(1, T + 1)])
+    J = mp.matrix([[1 if i + j == T - 1 else 0 for j in range(T)] for i in range(T)])
+    U = J * mp.cholesky(J * K * J) * J
+    return (U ** -1).T
+
+
+def _mpmath_tangent(f, x0):
+    """Five-point difference of ``f`` (a matrix in mpmath) at 100 digits."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(100):
+        h, x = mp.mpf(10) ** -30, mp.mpf(x0)
+        d = (f(x - 2 * h) - 8 * f(x - h) + 8 * f(x + h) - f(x + 2 * h)) / (12 * h)
+        return np.array(d.tolist(), dtype=float)
+
+
+SERIES_TANGENT_CASES = [(n, kw) for n, kw in TANGENT_CASES if n == "HC3" or n[2:] not in ("", "2")]
+
+
+@pytest.mark.parametrize("beta", TANGENT_BETAS)
+@pytest.mark.parametrize("name, kw", SERIES_TANGENT_CASES + [("SS", {})],
+                         ids=[n + "".join(f"-{v}" for v in kw.values())
+                              for n, kw in SERIES_TANGENT_CASES + [("SS", {})]])
+def test_factor_tangent_corner_matches_mpmath(name, kw, beta):
+    # the order >= 3 corner and SS's dense factor against 100-digit
+    # differences: to 1e-6, or, for a corner, to 50 times its estimated
+    # backward error eps / rcond(U) where that is larger, since a tangent is
+    # no more accurate than the factor it differentiates (measured: at most
+    # 36 times the estimate, DC3 alpha=0 beta=0.99, and 21 times where the
+    # error exceeds 1e-6, DC6 alpha=0 beta=0.99)
+    mpmath = pytest.importorskip("mpmath")
+    sp = _tangent_spec(name, kw, beta)
+    if name == "SS":
+        for T in _tangent_dims(sp)[:2]:  # a 50 x 50 mpmath Cholesky per point is slow
+            dL = kernels._factor_tangent(sp, T)[1][0]
+            flat, row, col = kernels._band_index(T, T - 1)
+            got = np.zeros((T, T))
+            got[row, col] = dL.ravel()[flat]
+            want = _mpmath_tangent(lambda g: _mpmath_ss_factor(g, T), beta)
+            assert np.abs(got - want).max() <= 1e-6 * np.abs(want).max(), T
+        return
+    p, base = sp.bandwidth, sp.base()
+    try:
+        tangents = {T: kernels._factor_tangent(sp, T)[1] for T in _tangent_dims(sp)}
+    except ConditioningError:
+        return  # the corner is refused at every T
+    _, row, col = kernels._band_index(p, p - 1)
+    tol = max(1e-6, 50 * np.finfo(float).eps / kernels.dtrcon(kernels._series(base))[0])
+    with mpmath.workdps(100):
+        M = np.array(_mpmath_corner_inverse(base).tolist(), dtype=float)
+    for j, param in enumerate(_shape_names(sp)):
+        dM = _mpmath_tangent(
+            lambda x: _mpmath_corner_inverse(SimpleNamespace(**{**vars(base), param: x})),
+            getattr(base, param))
+        for T, dL in tangents.items():
+            # L22 = beta^(-(T-p)/2) M, flipped by S = diag((-1)^t) for HC
+            s = (-1.0) ** np.arange(T - p, T) if sp.sign_flipped else np.ones(p)
+            rate = -(T - p) / (2.0 * beta) if param == "beta" else 0.0
+            want = beta ** (-(T - p) / 2.0) * (dM + rate * M) * np.outer(s, s)
+            got = np.zeros((p, p))
+            got[row, col] = dL[j][row - col, T - p + col]
+            err = np.abs(got - want).max() / np.abs(want).max()
+            assert err <= tol, (T, param, err, tol)
 
 
 @pytest.mark.parametrize(
