@@ -28,7 +28,6 @@ from functools import lru_cache
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, solve_triangular, toeplitz
 from scipy.linalg.lapack import dtpqrt, dtrtrs
-from scipy.optimize import minimize
 
 from ._blas import single_threaded
 from .errors import (
@@ -525,6 +524,14 @@ class _Likelihood:
         if not np.isfinite(grad).all():
             return refused
         return nll, grad
+
+
+def minimize(*args, **kwargs):
+    """``scipy.optimize.minimize``, imported on the first fit: the import
+    costs about 0.3 s, which a process that only builds kernels never pays."""
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(*args, **kwargs)
 
 
 def _bfgs(fun, z0, maxiter: int):

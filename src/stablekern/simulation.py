@@ -20,7 +20,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import firwin, lfilter
 
 from ._blas import single_threaded
 from .errors import (
@@ -105,13 +104,25 @@ def sample_impulse_response(study: int, rng: np.random.Generator,
     return TrueSystem(g, tuple(a), tuple(b), tuple(c))
 
 
+def _lowpass_taps(f_c: float) -> np.ndarray:
+    """Taps of the ``FILTER_ORDER`` lowpass: the sinc of cutoff ``f_c`` times
+    a symmetric Hamming window, scaled to unit gain at zero frequency.  The
+    operations are those of ``scipy.signal.firwin(FILTER_ORDER + 1, f_c,
+    window="hamming")``, so the taps equal it to the bit."""
+    m = np.arange(FILTER_ORDER + 1, dtype=float) - 0.5 * FILTER_ORDER
+    window = 0.54 + (1.0 - 0.54) * np.cos(np.linspace(-np.pi, np.pi, FILTER_ORDER + 1))
+    taps = f_c * np.sinc(f_c * m) * window
+    return taps / taps.sum()
+
+
 def generate_input(N: int, f_c: float, rng: np.random.Generator) -> np.ndarray:
     """Band-limited unit-variance Gaussian input.
 
     White Gaussian noise is shaped by a linear-phase lowpass FIR (order
     ``FILTER_ORDER``, Hamming-windowed sinc, cutoff ``f_c`` as a fraction of
     Nyquist) and rescaled to unit sample variance.  ``f_c = 1`` skips the
-    filter.
+    filter.  The filter runs with zero initial state, as a truncated full
+    convolution (what ``scipy.signal.lfilter`` computes for an FIR).
     """
     N = int(N)
     if not 0.0 < f_c <= 1.0:
@@ -124,8 +135,7 @@ def generate_input(N: int, f_c: float, rng: np.random.Generator) -> np.ndarray:
     if f_c >= 1.0:
         shaped = white
     else:
-        taps = firwin(FILTER_ORDER + 1, f_c, window="hamming")
-        shaped = lfilter(taps, [1.0], white)
+        shaped = np.convolve(_lowpass_taps(f_c), white)[:N]
     sd = shaped.std()
     if sd == 0.0:
         raise DegenerateSystemError("input realization has zero variance")

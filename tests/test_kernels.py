@@ -13,6 +13,7 @@ import os
 import subprocess
 import sys
 from dataclasses import replace
+from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
 from types import SimpleNamespace
@@ -124,6 +125,36 @@ def test_toeplitz_inverse_rejects_singular_and_bad_length():
         toeplitz_inverse([0.0, 1.0], 3)
     with pytest.raises(DimensionError):
         toeplitz_inverse([1.0, -1.0], 0)
+
+
+def _exact_recurrence(alpha, b):
+    """``z_j = alpha z_{j-1} + b_j`` in exact arithmetic, each ``z_j``
+    rounded once.  ``alpha = A / 2**e`` and ``b_j = B_j / 2**60`` are exact
+    (``Fraction`` of the doubles); ``Z_j = 2**(60 + e j) z_j`` is an integer
+    and ``Z_j = A Z_{j-1} + B_j 2**(e j)``, which keeps every step exact
+    without a Fraction's gcd per step."""
+    a = Fraction(alpha)
+    A, e = a.numerator, a.denominator.bit_length() - 1
+    B = [Fraction(x) * 2**60 for x in b]
+    assert all(v.denominator == 1 for v in B)
+    out, Z = [], 0
+    for j, v in enumerate(B):
+        Z = A * Z + (int(v) << (e * j))
+        out.append(Z / (1 << (60 + e * j)))  # int / int rounds correctly
+    return np.array(out)
+
+
+@pytest.mark.parametrize("serial_terms", [3000, 0], ids=["serial", "scan"])
+@pytest.mark.parametrize("p", [3, 4, 6, 10])
+def test_recurrence_matches_exact_arithmetic(monkeypatch, p, serial_terms):
+    # DC's series filters binomials by 1 / (1 - alpha x); both routes of the
+    # filter hold 1e-14 relative, on signed alphas too
+    monkeypatch.setattr(kernels, "_SERIAL_TERMS", serial_terms)
+    b = kernels._binomial_sequence(p - 1, 3000)
+    for alpha in (0.0, 1e-6, -1e-6, 0.7, -0.7, 0.999, -0.999, 1.0, -1.0):
+        want = _exact_recurrence(alpha, b)
+        got = kernels._recurrence(alpha, b)
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-14, alpha
 
 
 # ---------------------------------------------------------------------------

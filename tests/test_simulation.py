@@ -102,6 +102,17 @@ def test_input_full_band_is_white():
     assert abs(r1) < 0.1
 
 
+@pytest.mark.parametrize("f_c", [0.05, 0.2, 0.33, 0.5, 0.8, 0.9])
+def test_input_filter_equals_firwin_lfilter_to_the_bit(f_c):
+    from scipy.signal import firwin, lfilter
+
+    taps = firwin(101, f_c, window="hamming")
+    for N in (101, 500, 2000):
+        white = _rng(N).standard_normal(N)
+        shaped = lfilter(taps, [1.0], white)
+        np.testing.assert_array_equal(generate_input(N, f_c, _rng(N)), shaped / shaped.std())
+
+
 def test_input_length_and_cutoff_guards():
     with pytest.raises(DimensionError):
         generate_input(100, 0.2, _rng())
