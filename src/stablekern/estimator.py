@@ -6,15 +6,16 @@ The estimator solves
 
 for an impulse response ``g`` of length ``T``, with the kernel ``K`` drawn
 from one of the families in :mod:`stablekern.kernels`.  Hyperparameters are
-chosen by minimizing the negative log marginal likelihood, evaluated either
-directly on the ``N x N`` output covariance or through a QR factorization of
-the stacked least-squares system, which costs ``O(T^3)`` per trial point
-after a one-time reduction of the data matrix.  The tuner runs BFGS on the
-QR likelihood with its adjoint gradient: the factors of the QR update give
-every term, ``M^{-1} L`` is needed only on the band of the kernel factor,
-and the factor's analytic tangent (:func:`~stablekern.kernels._factor_tangent`)
-gives its derivatives along the shape parameters at the cost of about one
-factor.
+chosen by minimizing the negative log marginal likelihood.  It is evaluated
+three ways: directly on the ``N x N`` output covariance (:func:`nll_direct`),
+through the paper's banded factor and log-determinant in a QR update of the
+stacked least-squares system (:func:`nll_qr`), and, in the tuner, on the
+``T x T`` covariance ``lam R K~ R' + sigma2 I`` of the reduced data, with
+``K~ = K / K[1, 1]`` and ``R`` the R factor of ``A``.  The last two cost
+``O(T^3)`` per trial point after a one-time reduction of ``[A  y]``.  The
+tuner runs BFGS on that one core: its gradient needs ``K~`` and its
+complex-step derivatives (:func:`~stablekern.kernels._unit_tangents`), no
+factor of ``K^{-1}``.
 """
 
 from __future__ import annotations
@@ -23,16 +24,15 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, solve_triangular, toeplitz
-from scipy.linalg.lapack import dtpqrt, dtrtrs
+from scipy.linalg.lapack import dpotrf, dtpqrt, dtrtrs
 
 from ._blas import single_threaded
+from ._csv import load_csv
 from .errors import (
     ConditioningError,
-    DecompositionError,
     DimensionError,
     OptimizationError,
     ParameterError,
@@ -41,12 +41,10 @@ from .kernels import (
     _FAMILY_TABLE,
     BandedFactor,
     KernelSpec,
-    _band_index,
-    _cached_factor,
-    _dense_factors,
+    _dense_chol_of_inverse,
     _display_name,
-    _factor_tangent,
-    leading_variance,
+    _unit_kernel,
+    _unit_tangents,
     parse_family,
 )
 
@@ -111,7 +109,7 @@ class Dataset:
 
     @classmethod
     def from_csv(cls, path_or_file, sigma2: float | None = None) -> "Dataset":
-        arr = np.loadtxt(path_or_file, delimiter=",", skiprows=1, ndmin=2)
+        arr = load_csv(path_or_file, "dataset CSV", skiprows=1)
         if arr.shape[1] != 3:
             raise ParameterError("dataset CSV must have columns t,u,y")
         order = np.argsort(arr[:, 0], kind="stable")
@@ -216,7 +214,7 @@ def rls_estimate(A, y, K, lam: float, sigma2: float) -> np.ndarray:
     if isinstance(K, BandedFactor):
         Lt = K.to_dense().T
     else:
-        Lt = _dense_factors(np.asarray(K, dtype=float))[1].T
+        Lt = _dense_chol_of_inverse(np.asarray(K, dtype=float)).T
     S = np.vstack([A, math.sqrt(sigma2 / lam) * Lt])
     rhs = np.r_[y, np.zeros(T)]
     Q, R = np.linalg.qr(S)
@@ -414,10 +412,6 @@ _DEFAULT_LAMBDA_GRID = tuple(10.0 ** k for k in range(-4, 5, 2))
 _DEFAULT_DECAY_GRID = (0.35, 0.6, 0.8, 0.92, 0.975)
 _DEFAULT_ALPHA_GRID = (0.15, 0.5, 0.85)
 
-# What a trial point may raise when the kernel factor, its leading variance
-# or the QR update refuses it; the point then scores ``inf``.
-_REFUSED = (ConditioningError, DecompositionError, np.linalg.LinAlgError)
-
 # BFGS stops at this max-norm of the box-coordinate gradient.  An optimum on
 # a box bound (alpha -> 0 or 1) lies at z -> +-inf, where the NLL still
 # falls by about the gradient itself, so the tolerance is what such a fit
@@ -438,36 +432,28 @@ _GRAD_TOL = 1e-8
 _LINE_SEARCH_EVALS = 10
 
 
-@lru_cache(maxsize=64)
-def _shift_index(T: int, p: int) -> np.ndarray:
-    """``idx[a, c] = min(c + a, T)``: gathers the ``x[c + a]`` that band
-    ``a`` of a factor meets in ``L' x`` from ``x`` padded with one zero."""
-    return np.minimum(np.add.outer(np.arange(p + 1), np.arange(T)), T)
-
-
-def _inverse_times_factor(R1: np.ndarray, factor: BandedFactor) -> np.ndarray:
-    """Bands ``0 .. p`` of ``M^-1 L``, ``M = R1'R1``, in the factor's band
-    storage: all of ``M^-1 L`` that a trace against a banded ``dL`` reads.
-    Two triangular solves: ``R1^-T L`` is ``Q2' / sqrt(c)``, the prior block
-    of the QR update's orthogonal factor, and a solve keeps it to working
-    accuracy where ``R1`` is graded, while ``R1^-1`` times ``L`` would not
-    (TC6 at beta = 0.95, T = 20: largest error 5e-5 against 2e-9)."""
-    T = factor.dim
-    ML = dtrtrs(R1, dtrtrs(R1, factor.to_dense(), trans=1)[0])[0]
-    flat, row, col = _band_index(T, factor.bandwidth)
-    out = np.zeros_like(factor.bands)
-    out.ravel()[flat] = ML[row, col]
-    return out
-
-
 class _Likelihood:
-    """QR marginal likelihood of one dataset over the box coordinates of one
-    kernel family, with its adjoint gradient."""
+    """Marginal likelihood of one dataset over the box coordinates of one
+    kernel family, with its gradient.
+
+    ``[A  y]`` reduces once to ``R0 = [[R, r], [0, rho]]`` (:func:`_reduce_data`).
+    The rotated outputs ``r`` then have the covariance ``S = lam R K~ R' +
+    sigma2 I = C C'``, ``K~ = K / K[1, 1]``, and the other ``N - T`` are white
+    noise of total square ``rho^2``, so
+
+        NLL = (N - T) log sigma2 + rho^2 / sigma2 + 2 sum log C_ii + |C^-1 r|^2,
+
+    equal to :func:`nll_qr` at ``lam / K[1, 1]`` up to rounding.  A point is
+    refused (``ConditioningError``) where ``K~`` or its derivatives are not
+    finite or ``S`` is not positive definite.
+    """
 
     def __init__(self, dataset: Dataset, family: tuple, T: int, sigma2: float):
         self.family, self.delta = family
-        self.T, self.sigma2, self.N = T, sigma2, dataset.n
-        self.R0 = _reduce_data(build_regressor(dataset.u, dataset.n, T), dataset.y)
+        self.T, self.sigma2 = T, sigma2
+        R0 = _reduce_data(build_regressor(dataset.u, dataset.n, T), dataset.y)
+        self.R, self.r, rho = R0[:T, :T], R0[:T, T], float(R0[T, T])
+        self.offset = (dataset.n - T) * math.log(sigma2) + rho * rho / sigma2
         self.transform = _family_parameters(self.family)
 
     def spec(self, values) -> KernelSpec:
@@ -475,55 +461,58 @@ class _Likelihood:
         return KernelSpec(self.family, delta=self.delta, **kw)
 
     def evaluate(self, values):
-        """``(nll, R1, R2, spec, factor, leading variance)`` at ``values``."""
+        """``(nll, spec, K~, C, C^-1 r)`` at ``values``."""
         spec = self.spec(values)
-        factor = _cached_factor(spec, self.T)
-        scale = leading_variance(spec)
-        nll, R1, R2 = _nll_from_stack(self.R0, factor, values[0] / scale, self.sigma2, self.N)
-        return nll, R1, R2, spec, factor, scale
+        K = _unit_kernel(spec, self.T)
+        with np.errstate(over="ignore", invalid="ignore"):
+            S = values[0] * (self.R @ K @ self.R.T)
+        S.flat[:: self.T + 1] += self.sigma2
+        C, info = dpotrf(S, lower=1)
+        if info != 0:
+            raise ConditioningError("lam R K~ R' + sigma2 I is not positive definite")
+        v = dtrtrs(C, self.r, lower=1)[0]
+        nll = self.offset + 2.0 * float(np.log(C.diagonal()).sum()) + float(v @ v)
+        if not math.isfinite(nll):
+            raise ConditioningError("likelihood evaluated to a non-finite value")
+        return nll, spec, K, C, v
+
+    def _weights(self, C, v) -> np.ndarray:
+        """``w = R' S^-1 r``, so that the estimate is ``lam K~ w``."""
+        return self.R.T @ dtrtrs(C, v, lower=1, trans=1)[0]
 
     def value_and_grad(self, z):
         """NLL and its gradient in box coordinates; ``(inf, 0)`` where the
         point is refused.
 
-        With ``s`` the leading variance, ``c = sigma2 s / lam``, ``M = R1'R1
-        = A'A + c L L'`` and ``g = R1^-1 R2``, a parameter changes the NLL by
-        ``g' d(cLL') g / sigma2 + T d log(lam / s) - 2 sum dL_ii / L_ii +
-        tr(M^-1 d(cLL'))`` (Rasmussen & Williams, eq. 5.9, in QR form).  The
-        factor, its tangent ``dL`` and ``d log s`` along every shape parameter
-        come from one :func:`~stablekern.kernels._factor_tangent`; the value
-        is the one :meth:`evaluate` gives, to the bit.
+        With ``w = R' S^-1 r`` and ``P = R' S^-1 R - w w'``, a change ``dK~``
+        of the kernel moves the NLL by ``lam sum P o dK~`` (Rasmussen &
+        Williams, eq. 5.9): ``log lam`` by ``lam sum P o K~``, and each shape
+        parameter by ``lam sum P o dK~_k`` with ``dK~_k`` from
+        :func:`~stablekern.kernels._unit_tangents`.  The value is the one
+        :meth:`evaluate` gives, to the bit.
         """
         values = self.transform.from_z(z)
         refused = math.inf, np.zeros(len(values))
         try:
-            spec = self.spec(values)
-            factor, dL, dlogs = _factor_tangent(spec, self.T)
-            scale = leading_variance(spec)
-            nll, R1, R2 = _nll_from_stack(self.R0, factor, values[0] / scale, self.sigma2,
-                                          self.N)
-        except _REFUSED:
+            nll, spec, K, C, v = self.evaluate(values)
+            dK = _unit_tangents(spec, self.T)
+        except ConditioningError:
             return refused
-        T, sigma2 = self.T, self.sigma2
-        g = dtrtrs(R1, R2)[0]
-        c = sigma2 * scale / values[0]
-        L = factor.bands
-        windows = np.append(g, 0.0)[_shift_index(T, factor.bandwidth)]
-        Lg = np.einsum("ac,ac->c", L, windows)
-        ML = _inverse_times_factor(R1, factor)
-        # d(cLL') per unit d log c, contracted: quadratic and trace terms
-        dlogc = Lg @ Lg / sigma2 + np.sum(L * ML)
-        shape = (
-            c * dlogs * dlogc
-            + 2.0 * c * (np.einsum("kac,ac,c->k", dL, windows, Lg) / sigma2
-                         + np.einsum("kac,ac->k", dL, ML))
-            - T * dlogs
-            - 2.0 * np.sum(dL[:, 0] / L[0], axis=1)
-        )
-        grad = np.append(T - c * dlogc, shape) * self.transform.dvalue_dz(z)
+        V = dtrtrs(C, self.R, lower=1)[0]
+        w = self._weights(C, v)
+        P = V.T @ V - np.outer(w, w)
+        grad = values[0] * np.array([np.vdot(P, D) for D in (K, *dK)])
+        grad *= self.transform.dvalue_dz(z)
         if not np.isfinite(grad).all():
             return refused
         return nll, grad
+
+    def estimate(self, values) -> "EstimateResult":
+        """The fit at ``values``: ``g_hat = lam K~ w`` with the NLL of
+        :meth:`evaluate`."""
+        nll, spec, K, C, v = self.evaluate(values)
+        return EstimateResult(values[0] * (K @ self._weights(C, v)), float(values[0]), spec,
+                              float(self.sigma2), nll)
 
 
 def minimize(*args, **kwargs):
@@ -570,14 +559,18 @@ def fit_hyperparameters(
     refine_starts: int = 2,
     maxiter: int = 200,
 ) -> EstimateResult:
-    """Tune ``(lambda, eta)`` for one kernel family by minimizing the QR
+    """Tune ``(lambda, eta)`` for one kernel family by minimizing the
     marginal likelihood, then return the regularized estimate at the optimum.
 
-    The search seeds a coarse log-spaced grid, refines the best points with
-    BFGS on the adjoint gradient in logit/log-transformed coordinates, and
-    restarts BFGS until it stops improving, which makes refits with the
-    returned point as sole seed reproduce the result bit for bit.  A BFGS
-    run ends at its last accepted step once a line search has spent
+    The likelihood is evaluated on the QR-reduced data through the
+    covariance ``lam R K~ R' + sigma2 I``, ``K~ = K / K[1, 1]``, with no
+    factor of ``K^-1`` (:class:`_Likelihood`); its value and gradient and the
+    returned ``nll`` and ``g_hat`` all come from that one core.  The search
+    seeds a coarse log-spaced grid, refines the best points with BFGS on the
+    gradient (complex-step shape derivatives) in logit/log-transformed
+    coordinates, and restarts BFGS until it stops improving, which makes
+    refits with the returned point as sole seed reproduce the result bit for
+    bit.  A BFGS run ends at its last accepted step once a line search has spent
     ``_LINE_SEARCH_EVALS`` evaluations, which near an optimum only probe the
     rounding of the NLL.
 
@@ -638,7 +631,7 @@ def fit_hyperparameters(
     for values in seed_values:
         try:
             f = likelihood.evaluate(values)[0]
-        except _REFUSED:
+        except ConditioningError:
             continue
         scored.append((f, tuple(values)))
     if not scored:
@@ -664,7 +657,4 @@ def fit_hyperparameters(
         if f_cur < best_f:
             best_f, best_values = f_cur, v_cur
 
-    nll, R1, R2, spec, _, _ = likelihood.evaluate(best_values)
-    g_hat = solve_triangular(R1, R2, lower=False)
-    return EstimateResult(np.asarray(g_hat), float(best_values[0]), spec,
-                          float(sigma2), nll)
+    return likelihood.estimate(best_values)

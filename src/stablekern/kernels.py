@@ -31,9 +31,11 @@ otherwise raises ``ConditioningError``.
 (``K^{-1} = L L^T``); :func:`build_inverse` multiplies it out.  A series
 corner is refused where its estimated backward error exceeds
 ``_CORNER_TOL``, and a factor where ``L`` or ``L L^T`` would overflow.
-Each record also differentiates its factor: :func:`_factor_tangent` returns
-the same factor with ``dL`` and ``d log K[1, 1]`` along every shape
-parameter, the series corner's from the same certified pass (no memo).
+The marginal-likelihood tuner needs no factor: it reads the unit-scaled
+kernel ``K / K[1, 1]`` (:func:`_unit_kernel`) and its derivatives along the
+shape parameters, complex steps through the same entries
+(:func:`_unit_tangents`), so every entry formula stays holomorphic in the
+hyperparameters.
 
 Entries use the 1-based convention ``K[t, s]`` for ``t, s = 1..T``; arrays
 returned to callers are ordinary 0-based numpy arrays.
@@ -49,8 +51,8 @@ from itertools import accumulate
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
-from scipy.linalg.blas import dtbsv
-from scipy.linalg.lapack import dgeqrf, dormqr, dtrcon, dtrtri, dtrtrs
+from scipy.linalg.blas import dtbsv, ztbsv
+from scipy.linalg.lapack import dgeqrf, dtrcon, dtrtri
 from scipy.special import gammainccinv
 
 from ._blas import single_threaded
@@ -119,10 +121,7 @@ _MAX_DOUBLINGS = 6
 # 1 / (1 - beta), so without it a beta near 1 exhausts memory.  One corner
 # attempt at this length peaks at 56, 80 and 112 MiB for orders 3, 6 and 10,
 # TC or DC alike (tracemalloc), and takes 0.1-0.4 s (2-vCPU x86-64 VM).
-# Every beta <= 0.999 starts at <= 74k terms (order 10).  A factor tangent
-# (:func:`_factor_tangent`) differentiates an accepted attempt at its length
-# and peaks higher: 82 and 114 B/term for TC3 and DC3, against 50 for the
-# attempt (tracemalloc at 2**17 terms).
+# Every beta <= 0.999 starts at <= 74k terms (order 10).
 _MAX_SERIES_TERMS = 2 ** 20
 
 # Largest estimated backward error ``eps / rcond(U)`` of the trailing corner
@@ -396,24 +395,26 @@ def toeplitz_inverse(a, n: int) -> np.ndarray:
 _SERIAL_TERMS = 4096
 
 
-def _recurrence(alpha: float, b: np.ndarray) -> np.ndarray:
+def _recurrence(alpha, b: np.ndarray) -> np.ndarray:
     """``z_j = alpha z_{j-1} + b_j`` (``z_{-1} = 0``), ``|alpha| <= 1``: the
-    filter ``1 / (1 - alpha x)`` of DC's series and of its alpha-tangent.
+    filter ``1 / (1 - alpha x)`` of DC's series, for a real ``alpha`` or, in
+    a complex step (:func:`_unit_tangents`), a complex one.
 
     Up to ``_SERIAL_TERMS`` terms it is the serial recurrence, as BLAS's
-    unit lower bidiagonal solve ``dtbsv``.  Longer sequences take a doubling scan:
+    unit lower bidiagonal solve ``dtbsv`` (``ztbsv`` for a complex ``alpha``).
+    Longer sequences take a doubling scan:
     after the pass at shift ``s``, ``z_j = sum_{i < 2s} alpha^i b_{j-i}``.
     The scan stops once ``|alpha|^s / (1 - |alpha|) < eps / 4``; for ``alpha
-    >= 0`` and positive nondecreasing ``b`` (every DC series and tangent)
+    >= 0`` and positive nondecreasing ``b`` (every DC series)
     the dropped tail is then below ``eps / 4`` of ``b_j <= z_j``, and the
     passes where ``alpha^s`` would be subnormal never run.
     """
-    n = len(b)
+    n, dtype = len(b), np.result_type(alpha, b)
     if n <= _SERIAL_TERMS:
-        band = np.zeros((2, n))
+        band = np.zeros((2, n), dtype=dtype)
         band[1] = -alpha
-        return dtbsv(1, band, b, lower=1, diag=1)
-    z = np.array(b, dtype=float)
+        return (ztbsv if dtype == complex else dtbsv)(1, band, b, lower=1, diag=1)
+    z = np.array(b, dtype=dtype)
     stop = np.finfo(float).eps / 4.0 * (1.0 - abs(alpha))
     w, s = alpha, 1
     while s < n and abs(w) >= stop:
@@ -515,20 +516,20 @@ def _grid(T: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _powers(x: float, n: int) -> np.ndarray:
-    """``x ** k`` for ``k = 0 .. n``."""
+    """``x ** k`` for ``k = 0 .. n``.  A complex ``x`` (a complex step) takes
+    running products: numpy's complex ``**`` turns to ``exp(k log x)`` from
+    ``k = 100``, where ``arg x`` rounds to ``pi`` for ``Re x < 0`` and loses
+    the step."""
+    if isinstance(x, complex):
+        return np.cumprod(np.concatenate(([1.0], np.full(n, x))))
     return x ** np.arange(n + 1, dtype=float)
 
 
-def _ss_powers(g: float, T: int) -> tuple[np.ndarray, np.ndarray]:
-    """``gamma^(2 max + min)`` and ``gamma^(3 max)`` over ``t, s = 1 .. T``."""
-    mx, mn, _ = _grid(T)
-    gp = _powers(g, 2 * T)
-    return gp[mx + mn] * gp[mx], (g ** (3.0 * np.arange(T + 1)))[mx]
-
-
 def _ss_entries(spec: KernelSpec, T: int) -> np.ndarray:
-    A, B = _ss_powers(spec.gamma, T)
-    return A / 2.0 - B / 6.0
+    """``gamma^(2 max + min) / 2 - gamma^(3 max) / 6`` over ``t, s = 1 .. T``."""
+    g, (mx, mn, _) = spec.gamma, _grid(T)
+    gp = _powers(g, 2 * T)
+    return gp[mx + mn] * gp[mx] / 2.0 - (g ** (3.0 * np.arange(T + 1)))[mx] / 6.0
 
 
 def _tc2_entries(spec: KernelSpec, T: int) -> np.ndarray:
@@ -663,62 +664,11 @@ def _order2_bands(T: int, beta: float, alpha: float) -> tuple[np.ndarray, float]
     return bands, logdet
 
 
-def _rates(beta: float, T: int) -> np.ndarray:
-    """``d log beta^(-t/2) / d beta = -t / (2 beta)``, ``t = 1 .. T``."""
-    return -np.arange(1, T + 1, dtype=float) / (2.0 * beta)
-
-
-def _graded_tangent(L: np.ndarray, m: int, dlog_root, dcoef, dlog_tail) -> np.ndarray:
-    """Tangent of factor bands along one parameter.  The first ``m`` columns
-    are graded, ``coef (x) root`` with ``coef[0] = 1`` (so ``root = L[0]``):
-    their tangent is ``L d log root + d coef (x) root``.  The later columns,
-    corrected trailing entries, scale by their own log-derivatives
-    ``dlog_tail``."""
-    dL = np.empty_like(L)
-    dL[:, :m] = L[:, :m] * dlog_root[:m] + np.multiply.outer(dcoef, L[0, :m])
-    dL[:, m:] = L[:, m:] * dlog_tail
-    return dL
-
-
-def _order1_tangent(s: KernelSpec, T: int, L: np.ndarray, alpha: float | None):
-    """``(dL, d log K[1, 1])`` of :func:`_order1_bands`: TC's ``kappa = 1 -
-    beta``, or DC's ``1 - alpha^2 beta`` with ``sub = alpha`` when ``alpha``
-    is given."""
-    b, rates = s.beta, _rates(s.beta, T)
-    tail = np.array([[rates[-1]], [0.0]])  # L[T-1, T-1] = beta^(-T/2)
-    if alpha is None:
-        return [_graded_tangent(L, T - 1, rates + 0.5 / (1.0 - b), 0.0, tail)], [1.0 / b]
-    k = _dc1_kappa(s)
-    return ([_graded_tangent(L, T - 1, rates + 0.5 * alpha * alpha / k, 0.0, tail),
-             _graded_tangent(L, T - 1, np.full(T, alpha * b / k), np.array([0.0, -1.0]), 0.0)],
-            [1.0 / b, 0.0])
-
-
-def _order2_tangent(s: KernelSpec, T: int, L: np.ndarray, alpha: float, with_alpha: bool):
-    """``(dL, d log K[1, 1])`` of :func:`_order2_bands`, in beta and, for DC2,
-    alpha: log-derivatives of ``root``, of ``kappa`` and of the corrected
-    trailing entries ``L[T-2, T-2]``, ``L[T-1, T-2]`` and ``L[T-1, T-1]``."""
-    b, a, m = s.beta, alpha, max(T - 2, 0)
-    u, v, w, x = 1.0 / (1.0 - b), a / (1.0 + a * b), a / (1.0 - a * b), a * a / (1.0 - a * a * b)
-    tail = np.array([[0.5 * (v - (T - 1) / b + u + x), -0.5 * (T / b + v)],
-                     [0.5 * (u + x - v - (T - 1) / b), 0.0], [0.0, 0.0]])
-    dL = [_graded_tangent(L, m, _rates(b, T) + 0.5 * (u + w + x), 0.0, tail[:, m + 2 - T:])]
-    dlogk11 = [1.0 / b + v]
-    if with_alpha:
-        v, w, x = b / (1.0 + a * b), b / (1.0 - a * b), 2.0 * a * b / (1.0 - a * a * b)
-        tail = np.array([[0.5 * (v + x), -0.5 * v], [1.0 / (1.0 + a) + 0.5 * (x - v), 0.0],
-                         [0.0, 0.0]])
-        dL.append(_graded_tangent(L, m, np.full(T, 0.5 * (w + x)), np.array([0.0, -1.0, 1.0]),
-                                  tail[:, m + 2 - T:]))
-        dlogk11.append(v)
-    return dL, dlogk11
-
-
-def _dense_factors(K: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(U, L)``: ``K = U U^T`` with ``U`` upper triangular, through the
-    flipped factorization, and the lower Cholesky factor ``L = U^{-T}`` of
-    ``inv(K)``, genuinely lower triangular.  A diagonal equilibration keeps
-    the factorization of the strongly graded kernels accurate.
+def _dense_chol_of_inverse(K: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of ``inv(K)`` through the flipped factorization
+    ``K = U U^T`` (``U`` upper), so ``L = U^{-T}`` is genuinely lower
+    triangular.  A diagonal equilibration keeps the factorization of the
+    strongly graded kernels accurate.
     """
     diag = np.diag(K)
     if not np.all(np.isfinite(diag)) or np.any(diag <= 0):
@@ -734,7 +684,7 @@ def _dense_factors(K: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Uinv, info = dtrtri(U, lower=0)
     if info != 0:
         raise DecompositionError("kernel factor is singular")
-    return U, Uinv.T
+    return Uinv.T
 
 
 def _dc1_kappa(spec: KernelSpec) -> float:
@@ -743,35 +693,13 @@ def _dc1_kappa(spec: KernelSpec) -> float:
     return 1.0 - spec.alpha * spec.alpha * spec.beta
 
 
-def _dense_bands(L: np.ndarray) -> np.ndarray:
-    """Band storage of a dense lower ``L``: bandwidth ``T - 1``."""
-    flat, row, col = _band_index(len(L), len(L) - 1)
-    bands = np.zeros(L.shape)
-    bands.ravel()[flat] = L[row, col]
-    return bands
-
-
 def _ss_factor(spec: KernelSpec, T: int) -> tuple[np.ndarray, float]:
     """``SS`` has no banded inverse: a dense factor of bandwidth ``T - 1``."""
-    bands = _dense_bands(_dense_factors(build_kernel(spec, T))[1])
+    L = _dense_chol_of_inverse(build_kernel(spec, T))
+    flat, row, col = _band_index(T, T - 1)
+    bands = np.zeros((T, T))
+    bands.ravel()[flat] = L[row, col]
     return bands, -2.0 * np.sum(np.log(bands[0]))
-
-
-def _ss_tangent(spec: KernelSpec, T: int):
-    """SS's factor and its gamma tangent: ``K^{-1} = L L^T`` with ``L =
-    U^{-T}``, ``K = U U^T``, so ``dL = L Phi(-U^-1 dK U^-T)``, ``Phi`` the
-    lower triangle with half the diagonal, by two triangular solves.  ``dK``
-    differentiates the entries ``gamma^(2 max + min) / 2 - gamma^(3 max) /
-    6`` of :func:`_ss_entries`."""
-    g, (mx, mn, _) = spec.gamma, _grid(T)
-    A, B = _ss_powers(g, T)
-    U, L = _dense_factors(A / 2.0 - B / 6.0)
-    bands = _dense_bands(L)
-    dK = ((2 * mx + mn) * A - mx * B) / (2.0 * g)
-    S = dtrtrs(U, dtrtrs(U, dK)[0].T)[0]
-    Phi = np.where(mn == np.arange(1, T + 1), S, 0.0)  # min(t, s) = s: t >= s
-    Phi.flat[:: T + 1] *= 0.5
-    return bands, -2.0 * np.sum(np.log(bands[0])), [_dense_bands(L @ -Phi)], [3.0 / g]
 
 
 def _tail_certified(beta: float, n: int, z: np.ndarray, Y: np.ndarray) -> bool:
@@ -788,38 +716,6 @@ def _tail_certified(beta: float, n: int, z: np.ndarray, Y: np.ndarray) -> bool:
     return bool(np.all((rho < 1.0) & (tail < _SERIES_TOL * np.abs(sums))))
 
 
-def _windows(z: np.ndarray, p: int, weights: np.ndarray) -> np.ndarray:
-    """``W[m] = weights[m] (z_{m-p+1} .. z_m)`` (zero before ``z_0``): the
-    flipped windows of a series with row weights, in Fortran order as LAPACK
-    reads them."""
-    W = np.empty((len(z), p), order="F")
-    np.multiply(sliding_window_view(np.concatenate((np.zeros(p - 1), z)), p),
-                weights[:, None], out=W)
-    return W
-
-
-def _corner_qr(spec: KernelSpec, n: int):
-    """``(n, z, qr, tau)``: the inverse series ``z`` and ``dgeqrf`` of the
-    windows at length ``n``, or ``None`` where the tail does not certify."""
-    p = spec.bandwidth
-    z = _inverse_series(spec, n + p + 1)
-    if not _tail_certified(spec.beta, n, z, as_strided(z, (p, n + 2), z.strides * 2)):
-        return None  # the rows of the view are z[d:], d < p
-    # row m of W holds z_{m-p+1} .. z_m: the windows, flipped
-    W = _windows(z[: n + p - 1], p, spec.beta ** (np.arange(1, n + p) / 2.0))
-    qr, tau = dgeqrf(W, overwrite_a=1)[:2]
-    return n, z, qr, tau
-
-
-def _corner_r(spec: KernelSpec):
-    """The certified :func:`_corner_qr` of a base spec of order ``p >= 3``
-    with its R factor ``U``, sign-fixed to a positive diagonal."""
-    out = _certified(spec, lambda n: _corner_qr(spec, n), f"series of {spec.display_name}")
-    U = np.triu(out[2][: spec.bandwidth])
-    U *= np.sign(np.diag(U))[:, None]
-    return out, U
-
-
 @lru_cache(maxsize=1024)
 def _series(spec: KernelSpec) -> np.ndarray:
     """The corner of an order ``p >= 3`` base spec, memoized, read-only and a
@@ -829,29 +725,36 @@ def _series(spec: KernelSpec) -> np.ndarray:
     z_{m-t}``, ``m = 0 .. n+p-2``, have the Gram ``C0`` and hold every term of
     the certified ``s[d]`` (``C0[t, t+d] = beta^t s[d]``), so their tail is no
     larger; ``U`` is the R factor of the flipped ``W J``."""
-    U = _corner_r(spec)[1]
+    p = spec.bandwidth
+
+    def attempt(n):
+        z = _inverse_series(spec, n + p + 1)
+        if not _tail_certified(spec.beta, n, z, as_strided(z, (p, n + 2), z.strides * 2)):
+            return None  # the rows of the view are z[d:], d < p
+        # row m of the view holds z_{m-p+1} .. z_m: the windows, flipped
+        W = np.empty((n + p - 1, p), order="F")
+        np.multiply(sliding_window_view(np.concatenate((np.zeros(p - 1), z[: n + p - 1])), p),
+                    spec.beta ** (np.arange(1, n + p) / 2.0)[:, None], out=W)
+        return dgeqrf(W, overwrite_a=1)[0][:p]
+
+    U = np.triu(_certified(spec, attempt, f"series of {spec.display_name}"))
+    U *= np.sign(np.diag(U))[:, None]
     U.setflags(write=False)
     return U
 
 
-def _series_order(spec: KernelSpec, T: int) -> tuple[str, int]:
-    """``(stem, order)`` of an order ``p >= 3`` spec that admits ``T``."""
+def _series_factor(spec: KernelSpec, T: int) -> tuple[np.ndarray, float]:
+    """Bands of an order ``p >= 3`` factor: the graded operator columns
+    ``beta^(-t/2) a`` for ``t = 1 .. T-p``, then the trailing corner ``L22 =
+    beta^(-(T-p)/2) J U^-1 J`` (``K22 = beta^(T-p) C0``, ``J C0 J = U^T U``
+    from :func:`_series`), refused where its backward error, about ``eps
+    cond(U)``, estimated as ``eps / rcond(U)`` (1-norm, ``dtrcon``), exceeds
+    ``_CORNER_TOL``; that keeps the log-determinant within ``p * _CORNER_TOL``.
+    """
     stem, p = _CANONICAL[spec.family, spec.delta]
     if T < p + 2:
         raise DimensionError(f"order-{p} families need dim >= delta + 2 = {p + 2}; got {T}")
-    return stem, p
-
-
-def _series_bands(spec: KernelSpec, T: int, U: np.ndarray):
-    """Bands of an order ``p >= 3`` factor, its log-determinant and ``U^-1``:
-    the graded operator columns ``beta^(-t/2) a`` for ``t = 1 .. T-p``, then
-    the trailing corner ``L22 = beta^(-(T-p)/2) J U^-1 J`` (``K22 = beta^(T-p)
-    C0``, ``J C0 J = U^T U`` from :func:`_series`), refused where its backward
-    error, about ``eps cond(U)``, estimated as ``eps / rcond(U)`` (1-norm,
-    ``dtrcon``), exceeds ``_CORNER_TOL``; that keeps the log-determinant
-    within ``p * _CORNER_TOL``.
-    """
-    stem, p = _CANONICAL[spec.family, spec.delta]
+    U = _series(spec.base())
     rcond = dtrcon(U)[0]
     error = np.finfo(float).eps / rcond if rcond > 0 else math.inf
     if not error <= _CORNER_TOL:
@@ -865,65 +768,7 @@ def _series_bands(spec: KernelSpec, T: int, U: np.ndarray):
     _, row, col = _band_index(p, p - 1)
     L22 = spec.beta ** (-(T - p) / 2.0) * Uinv[::-1, ::-1]
     bands[row - col, T - p + col] = L22[row, col]
-    return bands, -2.0 * float(np.sum(np.log(bands[0]))), Uinv
-
-
-def _series_factor(spec: KernelSpec, T: int) -> tuple[np.ndarray, float]:
-    """Bands and log-determinant of :func:`_series_bands` on the memoized
-    corner."""
-    _series_order(spec, T)
-    return _series_bands(spec, T, _series(spec.base()))[:2]
-
-
-def _series_tangent(spec: KernelSpec, T: int):
-    """An order ``p >= 3`` factor and its tangent, from one certified pass.
-
-    The columns ``a beta^(-t/2)`` differentiate in place: times ``-t / (2
-    beta)`` for beta, ``da beta^(-t/2)`` for DC's alpha.  The corner's ``U``
-    is the R factor of the windows ``W = Q U``; with ``X = (Q^T dW)[:p]
-    U^-1`` and ``Y = triu(X) + tril(X, -1)^T``, ``dU = Y U`` and ``d(U^-1) =
-    -U^-1 Y``, and ``d log K[1, 1] = 2 u^T dU[:, p-1] / |u|^2``, ``u = U[:,
-    p-1]``.  ``dW / dbeta`` is ``W[m] (m+1) / (2 beta)``, and DC's
-    ``dz_j / dalpha = z_{j-1} + alpha dz_{j-1} / dalpha``.
-
-    The tangent is that of the Gram truncated at the length ``n`` that
-    certifies ``U``.  Its terms are the value's times at most ``(2j + p) /
-    beta`` (``|dz_j / dalpha| <= j z_j``, ``z`` being nondecreasing), so with
-    the ratio ``rho < 1`` of :func:`_tail_certified` its tails past ``n`` are
-    at most ``(2n + p + 2 / (1 - rho)) / beta * _SERIES_TOL`` of the value's
-    sums.
-    """
-    stem, p = _series_order(spec, T)
-    (n, z, qr, tau), U = _corner_r(spec.base())
-    bands, logdet, Uinv = _series_bands(spec, T, U)
-    beta, m = spec.beta, n + p - 1
-    w = beta ** (np.arange(1, m + 1) / 2.0)
-    rates = _rates(beta, T)
-    # per shape parameter: the series and row weights of dW, the columns'
-    # d log beta^(-t/2) and d coef
-    params = [(z[:m], w * (np.arange(1, m + 1) / (2.0 * beta)), rates, 0.0)]
-    if stem == "DC":
-        params.append((_recurrence(spec.alpha, np.r_[0.0, z[: m - 1]]), w,
-                       np.zeros(T), np.array([(-1) ** j * (math.comb(p, j) - math.comb(p - 1, j))
-                                              for j in range(p + 1)], dtype=float)))
-    sign = np.sign(np.diag(qr[:p]))[:, None]  # U = sign * R
-    upper = _grid(p)[1] == np.arange(1, p + 1)[:, None]  # min(t, s) = t: t <= s
-    u = U[:, p - 1]
-    _, row, col = _band_index(p, p - 1)
-    corner = bands[row - col, T - p + col]
-    dL, dlogk11 = [], []
-    for series, weights, rate, da in params:
-        QdW = dormqr("L", "T", qr, tau, _windows(series, p, weights), lwork=p, overwrite_c=1)[0]
-        X = sign * QdW[:p] @ Uinv
-        Y = np.where(upper, X + X.T, 0.0)  # triu(X) + tril(X, -1)^T
-        Y.flat[:: p + 1] = X.flat[:: p + 1]
-        dUinv = -Uinv @ Y
-        dlogk11.append(2.0 * (u @ X @ u) / (u @ u))  # u^T Y u = u^T X u
-        d = _graded_tangent(bands, T - p, rate, da, 0.0)
-        d[row - col, T - p + col] = (beta ** (-(T - p) / 2.0) * dUinv[::-1, ::-1][row, col]
-                                     + rate[T - p - 1] * corner)
-        dL.append(d)
-    return bands, logdet, dL, dlogk11
+    return bands, -2.0 * float(np.sum(np.log(bands[0])))
 
 
 # ---------------------------------------------------------------------------
@@ -933,71 +778,53 @@ def _series_tangent(spec: KernelSpec, T: int):
 @dataclass(frozen=True)
 class _Record:
     """Formulas of one ``(stem, order)``: ``entries(spec, T)`` (unflipped),
-    ``factor(spec, T) -> (bands of L, log det K)``, ``tangent(spec, T) ->
-    (bands, log det K, dL, d log K[1, 1])``, the factor with its derivatives
-    along each shape parameter in ``_FAMILY_TABLE`` order, ``k11(spec) = K[1,
-    1]`` and ``kappa(spec)``; :func:`build_inverse` is ``L L^T`` of the factor."""
+    ``factor(spec, T) -> (bands of L, log det K)``, ``k11(spec) = K[1, 1]``
+    and ``kappa(spec)``; :func:`build_inverse` is ``L L^T`` of the factor."""
 
     entries: object
     factor: object
-    tangent: object
     k11: object
     kappa: object = lambda s: 1.0
-
-    @classmethod
-    def closed(cls, factor, derivatives, **fields) -> "_Record":
-        """A record whose tangent is ``factor``'s output followed by
-        ``derivatives(spec, T, bands) -> (dL, d log K[1, 1])``."""
-        def tangent(spec, T):
-            bands, logdet = factor(spec, T)
-            return (bands, logdet, *derivatives(spec, T, bands))
-        return cls(factor=factor, tangent=tangent, **fields)
 
 
 # Closed forms.  TC2 keeps its own entries and kappa: the DC2 forms at
 # alpha = 1 differ from them in the last bit (entries at 776 of 800 (beta, T)
 # points, kappa at 109 of 400 betas).
 _RECORDS = {
-    ("DI", 0): _Record.closed(
+    ("DI", 0): _Record(
         entries=lambda s, T: np.diag(_powers(s.beta, T)[1:]),
         factor=lambda s, T: ((s.beta ** (-np.arange(1, T + 1, dtype=float) / 2.0))[None, :],
                              np.log(s.beta) * T * (T + 1) / 2.0),
-        derivatives=lambda s, T, L: ([L * _rates(s.beta, T)], [1.0 / s.beta]),
         k11=lambda s: float(s.beta),
     ),
     ("SS", None): _Record(
         entries=_ss_entries,
         factor=_ss_factor,
-        tangent=_ss_tangent,
         k11=lambda s: float(s.gamma ** 3 / 3.0),
     ),
-    ("TC", 1): _Record.closed(
+    ("TC", 1): _Record(
         entries=lambda s, T: _powers(s.beta, T)[_grid(T)[0]],
         factor=lambda s, T: _order1_bands(T, s.beta, 1.0, 1.0 - s.beta),
-        derivatives=lambda s, T, L: _order1_tangent(s, T, L, None),
         k11=lambda s: float(s.beta),
         kappa=lambda s: 1.0 - s.beta,
     ),
-    ("DC", 1): _Record.closed(
+    ("DC", 1): _Record(
         # (alpha beta)^|t-s| beta^min(t, s): |alpha beta| < 1, so no power overflows
         entries=lambda s, T: (_powers(s.alpha * s.beta, T - 1)[_grid(T)[2]]
                               * _powers(s.beta, T)[_grid(T)[1]]),
         factor=lambda s, T: _order1_bands(T, s.beta, s.alpha, _dc1_kappa(s)),
-        derivatives=lambda s, T, L: _order1_tangent(s, T, L, s.alpha),
         k11=lambda s: float(s.beta),
         kappa=_dc1_kappa,
     ),
-    ("TC", 2): _Record.closed(
+    ("TC", 2): _Record(
         entries=_tc2_entries,
         factor=lambda s, T: _order2_bands(T, s.beta, 1.0),
-        derivatives=lambda s, T, L: _order2_tangent(s, T, L, 1.0, False),
         k11=lambda s: float(s.beta * (1.0 + s.beta)),
         kappa=lambda s: (1.0 - s.beta) ** 3,
     ),
-    ("DC", 2): _Record.closed(
+    ("DC", 2): _Record(
         entries=lambda s, T: _order2_entries(T, s.beta, s.alpha),
         factor=lambda s, T: _order2_bands(T, s.beta, s.alpha),
-        derivatives=lambda s, T, L: _order2_tangent(s, T, L, s.alpha, True),
         k11=lambda s: float(s.beta * (1.0 + s.alpha * s.beta)),
         kappa=lambda s: (
             (1.0 - s.beta) * (1.0 - s.alpha * s.beta) * (1.0 - s.alpha * s.alpha * s.beta)
@@ -1012,7 +839,6 @@ _SERIES_RECORD = _Record(
     entries=lambda s, T: (_powers(s.beta, T - 1)[_grid(T)[1] - 1]
                           * _first_row(s.base(), T)[_grid(T)[2]]),
     factor=_series_factor,
-    tangent=_series_tangent,
     k11=lambda s: float(_first_row(s.base(), 1)[0]),
 )
 
@@ -1103,51 +929,14 @@ def inverse_cholesky(spec: KernelSpec, dim: int) -> BandedFactor:
         with np.errstate(over="ignore", invalid="ignore"):
             bands, logdet = _record(spec).factor(spec, T)
     except OverflowError:
-        bands, logdet = np.full(1, math.inf), math.inf
-    return _checked_factor(spec, T, bands, logdet)
-
-
-def _checked_factor(spec: KernelSpec, T: int, bands: np.ndarray, logdet) -> BandedFactor:
-    """The factor of ``bands``, refused where it overflows (see
-    :func:`inverse_cholesky`); sign-flipped families flip its odd bands."""
+        bands = np.full(1, math.inf)
     big = np.finfo(float).max  # L must fit, and L L^T too except for SS, which forms none
     if not np.abs(bands).max() <= (big if spec.family == "SS" else math.sqrt(big / len(bands))):
-        raise ConditioningError(f"{spec.to_kv()}, dim={T}: L or K^-1 = L L^T exceeds the "
+        raise ConditioningError(f"{spec.to_kv()}, dim={dim}: L or K^-1 = L L^T exceeds the "
                                 f"largest double {big:.4g}")
     if spec.sign_flipped:
         bands[1::2] *= -1.0
     return BandedFactor(T, bands.shape[0] - 1, bands, float(logdet))
-
-
-@single_threaded
-def _factor_tangent(spec: KernelSpec, dim: int):
-    """``(factor, dL, dlogk11)``: the factor of :func:`inverse_cholesky`, equal
-    to the bit, with its derivatives along each shape parameter of the family
-    (beta, alpha or gamma, in ``_FAMILY_TABLE`` order), ``dL[k]`` in the
-    factor's band storage and ``dlogk11[k] = d log K[1, 1]``.  Closed forms
-    differentiate in closed form; ``SS`` and the order >= 3 corner
-    differentiate their factorizations.  Refused where the factor is, or
-    where the tangent is not finite.
-    """
-    T = _dimension(dim)
-    try:
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            bands, logdet, dL, dlogk11 = _record(spec).tangent(spec, T)
-    except OverflowError:
-        bands, logdet, dL, dlogk11 = np.full(1, math.inf), math.inf, None, None
-    factor = _checked_factor(spec, T, bands, logdet)
-    dL, dlogk11 = np.array(dL), np.array(dlogk11)
-    if not (np.isfinite(dL).all() and np.isfinite(dlogk11).all()):
-        raise ConditioningError(f"{spec.to_kv()}, dim={T}: the derivative of L or of "
-                                f"log K[1, 1] is not finite")
-    if spec.sign_flipped:
-        dL[:, 1::2] *= -1.0
-    return factor, dL, dlogk11
-
-
-@lru_cache(maxsize=512)
-def _cached_factor(spec: KernelSpec, dim: int) -> BandedFactor:
-    return inverse_cholesky(spec, dim)
 
 
 @lru_cache(maxsize=4096)
@@ -1159,6 +948,74 @@ def leading_variance(spec: KernelSpec) -> float:
     unnormalized high-order families grow like ``(1-beta)**-(2*delta-1)``.
     """
     return _record(spec).k11(spec)
+
+
+# ---------------------------------------------------------------------------
+# The unit-scaled kernel and its shape derivatives
+# ---------------------------------------------------------------------------
+
+# Relative step ``h / |theta|`` of :func:`_unit_tangents`.  A complex step
+# subtracts nothing, so ``h`` may lie far below the rounding of ``theta``;
+# its truncation error is about ``(h / s)^2`` relative, ``s`` the distance
+# from ``theta`` to the nearest singularity of the entries: ``beta = 0``
+# (``K / K[1, 1]`` divides by a power of ``beta``) or ``beta = 1``.  A step
+# relative to ``theta`` keeps ``(h / beta)^2`` at 1e-40 down to ``beta =
+# 1e-300``, where a fixed step such as 1e-30 would exceed ``beta`` itself,
+# and the truncation stays below eps wherever ``1 - beta >= 1e-12``.
+_COMPLEX_STEP = 1e-20
+
+
+def _finite(spec: KernelSpec, dim: int, what: str, compute) -> np.ndarray:
+    """``compute()``, refused with ``ConditioningError`` where it overflows
+    or is not finite."""
+    try:
+        with np.errstate(all="ignore"):
+            out = compute()
+    except (OverflowError, ZeroDivisionError):
+        out = np.full(1, math.inf)
+    if not np.isfinite(out).all():
+        raise ConditioningError(f"{spec.to_kv()}, dim={dim}: {what} is not finite")
+    return out
+
+
+def _unit_kernel(spec: KernelSpec, dim: int) -> np.ndarray:
+    """``K / K[1, 1]``, the kernel the tuner scales by ``lam``: the entries of
+    :func:`build_kernel` over their leading one, refused where not finite."""
+
+    def unit():
+        K = build_kernel(spec, dim)
+        return K / K[0, 0]
+
+    return _finite(spec, dim, "K / K[1, 1]", unit)
+
+
+def _unit_tangents(spec: KernelSpec, dim: int) -> np.ndarray:
+    """``dK[k]``: the derivatives of :func:`_unit_kernel` along each shape
+    parameter of the family (beta, alpha or gamma, in ``_FAMILY_TABLE``
+    order), as complex steps ``Im K~(theta + i h e_k) / h`` through the very
+    entries :func:`build_kernel` evaluates, ``h = _COMPLEX_STEP |theta_k|``
+    (1e-20 at ``alpha = 0``).  Every entry formula is holomorphic in its
+    parameters (``_recurrence`` takes a complex ``alpha``), so this is the
+    derivative up to the rounding of ``K / K[1, 1]`` itself, a few eps times
+    ``|d log K[1, 1]|``; that floor shows where the normalized kernel moves
+    far less than ``K[1, 1]`` (DC-stem orders >= 3 along alpha near ``beta
+    = 1``).  Sign-flipped families flip their base's derivatives.  Refused
+    where not finite."""
+    base = spec.base()
+    names = [name for name in _FAMILY_TABLE[spec.family][2] if name != "delta"]
+
+    def tangents():
+        out = []
+        for name in names:
+            x = getattr(base, name)
+            h = _COMPLEX_STEP * (abs(x) or 1.0)
+            moved = object.__new__(KernelSpec)  # a complex value fails validation
+            moved.__dict__.update(vars(base), **{name: x + 1j * h})
+            K = build_kernel(moved, dim)
+            out.append(_sign_flip(spec, (K / K[0, 0]).imag / h))
+        return np.array(out)
+
+    return _finite(spec, dim, "the derivative of K / K[1, 1]", tangents)
 
 
 # ---------------------------------------------------------------------------

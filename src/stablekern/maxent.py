@@ -16,6 +16,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from ._blas import single_threaded
+from ._csv import load_csv
 from .errors import DimensionError, InfeasibleExtensionError, ParameterError
 
 __all__ = [
@@ -105,7 +106,7 @@ class BandSpec:
 
     @classmethod
     def from_csv(cls, path_or_file) -> "BandSpec":
-        arr = np.loadtxt(path_or_file, delimiter=",", ndmin=2)
+        arr = load_csv(path_or_file, "band CSV")
         if arr.shape[1] != 3:
             raise ParameterError("band CSV must have rows (t, s, value)")
         t, s = arr[:, :2].astype(int).T

@@ -284,6 +284,19 @@ def test_fit_missing_file_exit_1(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cell", ["x", "np.float64(2.04)"])
+def test_fit_bad_csv_cell_exit_1_without_traceback(tmp_path, cell):
+    data = tmp_path / "bad.csv"
+    data.write_text(f"t,u,y\n1,0.5,1.0\n2,-0.3,{cell}\n3,0.1,0.2\n")
+    src = str(Path(stablekern.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    argv = [sys.executable, "-m", "stablekern.cli", "fit", "--data", str(data),
+            "--family", "TC", "--T", "2"]
+    done = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 1
+    assert done.stderr == f"error: dataset CSV, line 3, column 3: {cell!r} is not a number\n"
+
+
 def test_fit_sigma2_zero_usage_error():
     with pytest.raises(SystemExit) as exc:
         run_cli("fit", "--data", "x.csv", "--family", "TC",

@@ -12,6 +12,7 @@ import math
 import os
 import subprocess
 import sys
+from collections import namedtuple
 from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
@@ -394,7 +395,10 @@ def _mpmath_operator(base):
 
 
 def _mpmath_digits(base):
-    return max(90, 30 + 2 * base.delta * round(-math.log10(1.0 - base.beta)))
+    """Working digits of the series oracles, and never fewer than the
+    caller's."""
+    mp = pytest.importorskip("mpmath")
+    return max(90, 30 + 2 * base.delta * round(-math.log10(1.0 - base.beta)), mp.mp.dps)
 
 
 @lru_cache(maxsize=None)
@@ -425,22 +429,33 @@ def _mpmath_corner(base):
                           for i in range(p)])
 
 
-@lru_cache(maxsize=None)
-def _mpmath_first_row(base, T):
-    """``K[1, 1 .. T]`` of an order-``p`` series kernel: ``r[d] = C0[0, d]``
-    for ``d < p`` from the Stein corner, extended at the same precision by the
-    operator recursion ``sum_i a_i s[d-i] = 0`` (``d >= p``), which ``s[d] =
-    r[d] / beta^d`` obeys because ``a`` annihilates the inverse series."""
+def _mpmath_row(base, T):
+    """``K[1, 1 .. T]`` of an order-``p`` TC- or DC-stem kernel in mpmath,
+    up to its normalization: ``r[d] = C0[0, d]`` for ``d < p`` from the
+    Stein corner, extended at the same precision by the operator recursion
+    ``sum_i a_i s[d-i] = 0`` (``d >= p``), which ``s[d] = r[d] / beta^d``
+    obeys because ``a`` annihilates the inverse series.  ``base`` needs only
+    ``family``, ``delta``, ``beta`` and ``alpha`` (a :class:`_Base` holds a
+    parameter as an mpmath number)."""
     mp = pytest.importorskip("mpmath")
     p = base.delta
     C0 = _mpmath_corner(base)
     with mp.workdps(_mpmath_digits(base)):
         b = mp.mpf(base.beta)
         a = _mpmath_operator(base)
-        r = [C0[0, d] for d in range(p)]
+        r = [C0[0, d] for d in range(min(p, T))]
         for d in range(p, T):
             r.append(-sum(a[i] * b ** i * r[d - i] for i in range(1, p + 1)) / a[0])
-        return np.array([float(v) for v in r[:T]])
+        return r
+
+
+_Base = namedtuple("_Base", "family delta beta alpha")
+
+
+@lru_cache(maxsize=None)
+def _mpmath_first_row(base, T):
+    """:func:`_mpmath_row` of a series spec, rounded to doubles."""
+    return np.array([float(v) for v in _mpmath_row(base, T)])
 
 
 FIRST_ROW_CASES = ([(f"TC{p}", None) for p in range(3, MAX_ORDER + 1)]
@@ -476,7 +491,7 @@ def test_series_kernel_shift_identity(sp):
 
 
 def _clear_caches():
-    for cache in (kernels._series, kernels._cached_factor, leading_variance,
+    for cache in (kernels._series, leading_variance,
                   kernels._binomials, kernels._grid, kernels._band_index):
         cache.cache_clear()
 
@@ -687,29 +702,73 @@ def test_series_factor_matches_dense_oracles(name, kw, beta, T):
 
 
 # ---------------------------------------------------------------------------
-# Factor tangents
+# Complex-step shape derivatives of K / K[1, 1]
 # ---------------------------------------------------------------------------
 
-TANGENT_CASES = (
-    [("DI", {}), ("TC", {}), ("DC", {"alpha": 0.5}), ("DC", {"alpha": -0.5}), ("SS", {}),
-     ("TC2", {}), ("DC2", {"alpha": 0.5}), ("HF2", {}), ("HC3", {"alpha": 0.5})]
+HOLOMORPHY_CASES = (
+    [("DI", {}), ("TC", {}), ("DC", {"alpha": 0.5}), ("DC", {"alpha": -0.5}),
+     ("DC", {"alpha": 0.0}), ("SS", {}), ("TC2", {}), ("DC2", {"alpha": 0.5}), ("HF2", {}),
+     ("HC3", {"alpha": 0.5})]
     + [(f"TC{p}", {}) for p in range(3, MAX_ORDER + 1)]
     + [(f"DC{p}", {"alpha": a}) for p in range(3, MAX_ORDER + 1) for a in (0.0, 0.5, 1.0)]
 )
-TANGENT_IDS = [name + "".join(f"-{v}" for v in kw.values()) for name, kw in TANGENT_CASES]
-TANGENT_BETAS = (0.3, 0.8, 0.95, 0.99)
 
 
-def _tangent_spec(name, kw, beta):
-    return spec(name, **({"gamma": beta} if name == "SS" else {"beta": beta}), **kw)
+def _mpmath_kernel(sp, T, param, x):
+    """The kernel of ``sp`` with ``param`` set to the mpmath number ``x``, up
+    to its normalization, from the paper's definitions: DI and SS from their
+    entries, the TC and DC stems of every order from :func:`_mpmath_row`, as
+    ``K[t, s] = beta^min(t, s) r[|t - s|]`` (0-based), with the
+    high-frequency flip."""
+    mp = pytest.importorskip("mpmath")
+    kw = {**vars(sp), param: x}
+    t = range(T)
+    if sp.family == "DI":
+        return mp.matrix([[kw["beta"] ** (i + 1) if i == j else 0 for j in t] for i in t])
+    if sp.family == "SS":
+        g = kw["gamma"]
+        return mp.matrix([[g ** (i + j + 2 + max(i, j) + 1) / 2 - g ** (3 * max(i, j) + 3) / 6
+                           for j in t] for i in t])
+    stem = "TCd" if sp.family in ("TC", "TCd", "HFd") else "DCd"
+    base = _Base(stem, sp.bandwidth, kw["beta"], kw["alpha"] if stem == "DCd" else None)
+    r = _mpmath_row(base, T)
+    sign = (lambda d: (-1) ** d) if sp.sign_flipped else (lambda d: 1)
+    return mp.matrix([[sign(abs(i - j)) * kw["beta"] ** min(i, j) * r[abs(i - j)]
+                       for j in t] for i in t])
 
 
-def _tangent_dims(sp):
-    return (3 if sp.bandwidth is None else sp.bandwidth + 2, 20, 50)
-
-
-def _shape_names(sp):
-    return [n for n in kernels._FAMILY_TABLE[sp.family][2] if n != "delta"]
+@pytest.mark.parametrize("beta", [1e-3, 0.3, 0.8, 0.95, 0.99, 0.999])
+@pytest.mark.parametrize("name, kw", HOLOMORPHY_CASES,
+                         ids=[n + "".join(f"-{v}" for v in kw.values())
+                              for n, kw in HOLOMORPHY_CASES])
+def test_complex_step_tangents_match_mpmath(name, kw, beta):
+    # the tuner's shape derivatives are complex steps through the entries,
+    # right only while every entry formula stays holomorphic in its
+    # parameters: checked against a 1e-40 central difference of the paper's
+    # definitions at 60 digits above the oracle's own, to 1e-9 relative.
+    # Where the normalized kernel moves far less than K[1, 1] (DC-stem
+    # orders >= 3 along alpha near beta = 1: 1.5e-3 relative at DC10, alpha
+    # = 0, beta = 0.999), the rounding of K / K[1, 1] itself, about eps |d
+    # log K[1, 1]|, is the floor there, and only there (measured: at most 3.3
+    # eps |d log K[1, 1]|)
+    mp = pytest.importorskip("mpmath")
+    sp = spec(name, **({"gamma": beta} if name == "SS" else {"beta": beta}), **kw)
+    T = 24
+    got = kernels._unit_tangents(sp, T)
+    names = [n for n in kernels._FAMILY_TABLE[sp.family][2] if n != "delta"]
+    assert got.shape == (len(names), T, T)
+    dc_stem = sp.family in ("DCd", "HCd") and sp.bandwidth >= 3
+    digits = 60 + (_mpmath_digits(SimpleNamespace(delta=sp.bandwidth, beta=beta))
+                   if sp.bandwidth else 90)
+    for k, param in enumerate(names):
+        with mp.workdps(digits):
+            x, h = mp.mpf(getattr(sp, param)), mp.mpf(10) ** -40
+            hi, lo = (_mpmath_kernel(sp, T, param, x + s) for s in (h, -h))
+            want = np.array(((hi / hi[0, 0] - lo / lo[0, 0]) / (2 * h)).tolist(), dtype=float)
+            dlog = float((mp.log(hi[0, 0]) - mp.log(lo[0, 0])) / (2 * h))
+        err = np.abs(got[k] - want).max()
+        floor = 8 * np.finfo(float).eps * abs(dlog) if param == "alpha" and dc_stem else 0.0
+        assert err <= 1e-9 * np.abs(want).max() + floor, (param, err, floor)
 
 
 def _five_point(f, x, h, lo, hi):
@@ -732,131 +791,46 @@ def _parameter_step(sp, name):
     return 1e-4, 0.0, 1.0
 
 
-@pytest.mark.parametrize("beta", TANGENT_BETAS)
-@pytest.mark.parametrize("name, kw", TANGENT_CASES, ids=TANGENT_IDS)
-def test_factor_tangent_matches_differences(name, kw, beta):
-    # the factor comes back to the bit, refusals match, and d log K[1, 1] and
-    # dL match five-point differences of leading_variance and inverse_cholesky.
-    # Differences of the series corner and of SS's dense factor carry their
-    # rounding, about eps cond / h, so those columns are checked against
-    # 100-digit differences below
-    sp = _tangent_spec(name, kw, beta)
-    for T in _tangent_dims(sp):
-        try:
-            want = inverse_cholesky(sp, T)
-        except ConditioningError as exc:
-            with pytest.raises(ConditioningError) as refused:
-                kernels._factor_tangent(sp, T)
-            assert str(refused.value) == str(exc)
-            continue
-        factor, dL, dlogk11 = kernels._factor_tangent(sp, T)
-        assert (factor.dim, factor.bandwidth, factor.logdet_K) == (T, want.bandwidth, want.logdet_K)
-        np.testing.assert_array_equal(factor.bands, want.bands)
-        names = _shape_names(sp)
-        assert dL.shape == (len(names), *want.bands.shape) and dlogk11.shape == (len(names),)
-        # columns checked here: all of a closed factor, the graded ones of a
-        # series factor, none of SS's dense one
-        p = sp.bandwidth
-        graded = 0 if p is None else T if p <= 2 else T - p
-        for j, param in enumerate(names):
-            h, lo, hi = _parameter_step(sp, param)
-            x0 = getattr(sp, param)
-
-            def log_k11(x):
-                return math.log(leading_variance(replace(sp, **{param: x})))
-
-            ref = _five_point(log_k11, x0, h, lo, hi)
-            np.testing.assert_allclose(dlogk11[j], ref, rtol=1e-6, atol=1e-12 * abs(1.0 / h))
-            try:
-                ref = _five_point(lambda x: inverse_cholesky(replace(sp, **{param: x}), T).bands,
-                                  x0, h, lo, hi)
-            except ConditioningError:
-                continue  # a neighbour's corner is refused
-            # per column, relative to |dL| + |L|: a derivative may vanish
-            # (d log root / d beta changes sign at t = beta / (1 - beta) for TC)
-            d, r, L = dL[j][:, :graded], ref[:, :graded], want.bands[:, :graded]
-            err = np.abs(d - r).max(axis=0)
-            assert np.all(err <= 1e-6 * (np.abs(r).max(axis=0) + np.abs(L).max(axis=0))), (
-                T, param, err.max())
+def _check_tangents_against_differences(sp, T):
+    """:func:`kernels._unit_tangents` at ``T`` against five-point differences
+    of :func:`kernels._unit_kernel`: to 1e-5 of the derivative plus the
+    differences' own rounding, ``100 eps |K / K[1, 1]| / h``."""
+    names = [n for n in kernels._FAMILY_TABLE[sp.family][2] if n != "delta"]
+    got, K = kernels._unit_tangents(sp, T), kernels._unit_kernel(sp, T)
+    assert got.shape == (len(names), T, T)
+    for k, param in enumerate(names):
+        h, lo, hi = _parameter_step(sp, param)
+        want = _five_point(lambda x: kernels._unit_kernel(replace(sp, **{param: x}), T),
+                           getattr(sp, param), h, lo, hi)
+        err = np.abs(got[k] - want).max()
+        tol = 1e-5 * np.abs(want).max() + 100 * np.finfo(float).eps / h * np.abs(K).max()
+        assert err <= tol, (T, param, err, tol)
 
 
-def _mpmath_corner_inverse(base):
-    """``J U^-1 J`` with ``J C0 J = U^T U`` of an unflipped series spec, from
-    the Stein corner, in mpmath: the corner ``L22`` but for ``beta^(-(T-p)/2)``."""
-    mp = pytest.importorskip("mpmath")
-    p = base.delta
-    C0 = _mpmath_corner.__wrapped__(base)
-    J = mp.matrix([[1 if i + j == p - 1 else 0 for j in range(p)] for i in range(p)])
-    U = mp.cholesky(J * C0 * J).T
-    return J * U ** -1 * J
-
-
-def _mpmath_ss_factor(g, T):
-    """SS's dense ``L = U^-T`` (``K = U U^T``, ``U`` upper) in mpmath."""
-    mp = pytest.importorskip("mpmath")
-    K = mp.matrix([[g ** (2 * max(t, s) + min(t, s)) / 2 - g ** (3 * max(t, s)) / 6
-                    for s in range(1, T + 1)] for t in range(1, T + 1)])
-    J = mp.matrix([[1 if i + j == T - 1 else 0 for j in range(T)] for i in range(T)])
-    U = J * mp.cholesky(J * K * J) * J
-    return (U ** -1).T
-
-
-def _mpmath_tangent(f, x0):
-    """Five-point difference of ``f`` (a matrix in mpmath) at 100 digits."""
-    mp = pytest.importorskip("mpmath")
-    with mp.workdps(100):
-        h, x = mp.mpf(10) ** -30, mp.mpf(x0)
-        d = (f(x - 2 * h) - 8 * f(x - h) + 8 * f(x + h) - f(x + 2 * h)) / (12 * h)
-        return np.array(d.tolist(), dtype=float)
-
-
-SERIES_TANGENT_CASES = [(n, kw) for n, kw in TANGENT_CASES if n == "HC3" or n[2:] not in ("", "2")]
-
-
-@pytest.mark.parametrize("beta", TANGENT_BETAS)
-@pytest.mark.parametrize("name, kw", SERIES_TANGENT_CASES + [("SS", {})],
+@pytest.mark.parametrize("beta", [0.3, 0.8, 0.95, 0.99])
+@pytest.mark.parametrize("name, kw", HOLOMORPHY_CASES,
                          ids=[n + "".join(f"-{v}" for v in kw.values())
-                              for n, kw in SERIES_TANGENT_CASES + [("SS", {})]])
-def test_factor_tangent_corner_matches_mpmath(name, kw, beta):
-    # the order >= 3 corner and SS's dense factor against 100-digit
-    # differences: to 1e-6, or, for a corner, to 50 times its estimated
-    # backward error eps / rcond(U) where that is larger, since a tangent is
-    # no more accurate than the factor it differentiates (measured: at most
-    # 36 times the estimate, DC3 alpha=0 beta=0.99, and 21 times where the
-    # error exceeds 1e-6, DC6 alpha=0 beta=0.99)
-    mpmath = pytest.importorskip("mpmath")
-    sp = _tangent_spec(name, kw, beta)
-    if name == "SS":
-        for T in _tangent_dims(sp)[:2]:  # a 50 x 50 mpmath Cholesky per point is slow
-            dL = kernels._factor_tangent(sp, T)[1][0]
-            flat, row, col = kernels._band_index(T, T - 1)
-            got = np.zeros((T, T))
-            got[row, col] = dL.ravel()[flat]
-            want = _mpmath_tangent(lambda g: _mpmath_ss_factor(g, T), beta)
-            assert np.abs(got - want).max() <= 1e-6 * np.abs(want).max(), T
-        return
-    p, base = sp.bandwidth, sp.base()
-    try:
-        tangents = {T: kernels._factor_tangent(sp, T)[1] for T in _tangent_dims(sp)}
-    except ConditioningError:
-        return  # the corner is refused at every T
-    _, row, col = kernels._band_index(p, p - 1)
-    tol = max(1e-6, 50 * np.finfo(float).eps / kernels.dtrcon(kernels._series(base))[0])
-    with mpmath.workdps(100):
-        M = np.array(_mpmath_corner_inverse(base).tolist(), dtype=float)
-    for j, param in enumerate(_shape_names(sp)):
-        dM = _mpmath_tangent(
-            lambda x: _mpmath_corner_inverse(SimpleNamespace(**{**vars(base), param: x})),
-            getattr(base, param))
-        for T, dL in tangents.items():
-            # L22 = beta^(-(T-p)/2) M, flipped by S = diag((-1)^t) for HC
-            s = (-1.0) ** np.arange(T - p, T) if sp.sign_flipped else np.ones(p)
-            rate = -(T - p) / (2.0 * beta) if param == "beta" else 0.0
-            want = beta ** (-(T - p) / 2.0) * (dM + rate * M) * np.outer(s, s)
-            got = np.zeros((p, p))
-            got[row, col] = dL[j][row - col, T - p + col]
-            err = np.abs(got - want).max() / np.abs(want).max()
-            assert err <= tol, (T, param, err, tol)
+                              for n, kw in HOLOMORPHY_CASES])
+def test_complex_step_tangents_match_differences(name, kw, beta):
+    # the same derivatives in double precision at the dimensions the tuner
+    # meets, from the smallest past the band to T = 50 (measured: at most
+    # 0.17 of the tolerance, DC10 alpha=1 beta=0.99, where the difference is
+    # one-sided)
+    sp = spec(name, **({"gamma": beta} if name == "SS" else {"beta": beta}), **kw)
+    for T in (3 if sp.bandwidth is None else sp.bandwidth + 2, 20, 50):
+        _check_tangents_against_differences(sp, T)
+
+
+@pytest.mark.parametrize("name, kw", [("DC", {"alpha": -0.5}), ("DC", {"alpha": -0.95}),
+                                      ("DC", {"alpha": 0.5}), ("TC", {}), ("SS", {}),
+                                      ("HF2", {}), ("DC2", {"alpha": 0.5}), ("DC3", {"alpha": 0.5})],
+                         ids=lambda v: "".join(f"{v}" for v in v.values()) if isinstance(v, dict) else v)
+def test_complex_step_tangents_hold_past_lag_100(name, kw):
+    # numpy's complex power turns to exp(k log x) from k = 100, which loses a
+    # complex step on a negative base (DC's alpha beta for alpha < 0); the
+    # entries' powers must keep it at every lag
+    sp = spec(name, **({"gamma": 0.99} if name == "SS" else {"beta": 0.99}), **kw)
+    _check_tangents_against_differences(sp, 120)
 
 
 @pytest.mark.parametrize(

@@ -311,3 +311,8 @@ def test_band_spec_csv_rejects_conflicts_and_gaps():
     with pytest.raises(ParameterError):
         # T = 3 with bandwidth 1 but the (2, 3) entry missing
         BandSpec.from_csv(io.StringIO("1,1,1.0\n2,2,1.0\n3,3,1.0\n1,2,0.5\n"))
+
+
+def test_band_spec_csv_names_a_cell_that_is_not_a_number():
+    with pytest.raises(ParameterError, match="band CSV, line 2, column 3: 'oops'"):
+        BandSpec.from_csv(io.StringIO("1,1,1.0\n2,2,oops\n1,2,0.5\n"))
