@@ -4,10 +4,10 @@ This module builds the covariance (kernel) matrices used for regularized
 FIR impulse-response estimation and exposes their structural decompositions:
 
 * first-order families ``DI``, ``TC``, ``DC`` and the stable-spline ``SS``;
-* second-order families ``TC2``/``DC2`` with closed-form entries, inverses,
+* second-order families ``TC2``/``DC2`` with closed-form rows, inverses,
   Cholesky factors and determinants;
 * arbitrary-order families ``TCd``/``DCd`` defined through inverses of
-  banded Toeplitz operators, with closed-form entries too;
+  banded Toeplitz operators, with closed-form rows too;
 * high-frequency mirrors ``HFd``/``HCd`` obtained by the alternating-sign
   similarity ``S K S`` with ``S = diag(1, -1, 1, ...)``.
 
@@ -18,9 +18,11 @@ orders >= 3 share ``_SERIES_RECORD``, and ``_SERIES`` holds each stem's
 operator coefficients and inverse series; so ``TC`` and ``TCd(1)``, or
 ``HFd`` and ``TCd``, compute alike.  :func:`parse_family` reads every name.
 
-The kernels are exponentially convex, ``K[t+1, s+1] = beta * K[t, s]``, so
-an order >= 3 kernel is built from its first row alone, in closed form from
-Newton differences, each a sum of positive terms (:func:`_first_row`).  Only
+Every kernel is exponentially convex and locally stationary, ``K[t, s] =
+e^(min(t, s) - 1) r[|t - s|]`` (envelope ``e = beta``, ``gamma^3`` for SS),
+so each record holds one first row ``r``, which the high-frequency flip
+multiplies by ``(-1)^d``; an order >= 3 row is closed too, from Newton
+differences, each a sum of positive terms (:func:`_first_row`).  Only
 the trailing ``p x p`` corner of the factor has no closed form: it is a
 certified series, memoized per spec (:func:`_series`), that starts at the
 length where the tail would certify to ``_SERIES_TOL``, doubles at most
@@ -33,8 +35,8 @@ corner is refused where its estimated backward error exceeds
 ``_CORNER_TOL``, and a factor where ``L`` or ``L L^T`` would overflow.
 The marginal-likelihood tuner needs no factor: it reads the unit-scaled
 kernel ``K / K[1, 1]`` (:func:`_unit_kernel`) and its derivatives along the
-shape parameters, complex steps through the same entries
-(:func:`_unit_tangents`), so every entry formula stays holomorphic in the
+shape parameters, complex steps through the same envelope and row
+(:func:`_unit_tangents`), so every row formula stays holomorphic in the
 hyperparameters.
 
 Entries use the 1-based convention ``K[t, s]`` for ``t, s = 1..T``; arrays
@@ -500,20 +502,8 @@ def _certified(spec: KernelSpec, attempt, what: str):
 
 
 # ---------------------------------------------------------------------------
-# Kernel entries
+# Kernel rows
 # ---------------------------------------------------------------------------
-
-@lru_cache(maxsize=64)
-def _grid(T: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only integer ``max(t, s)``, ``min(t, s)`` and ``|t - s|`` over
-    ``t, s = 1 .. T``.  Entries are gathered through them from vectors of
-    powers, one ``pow`` per exponent instead of one per entry."""
-    t = np.arange(1, T + 1)
-    grids = (np.maximum.outer(t, t), np.minimum.outer(t, t), np.abs(np.subtract.outer(t, t)))
-    for g in grids:
-        g.setflags(write=False)
-    return grids
-
 
 def _powers(x: float, n: int) -> np.ndarray:
     """``x ** k`` for ``k = 0 .. n``.  A complex ``x`` (a complex step) takes
@@ -525,29 +515,46 @@ def _powers(x: float, n: int) -> np.ndarray:
     return x ** np.arange(n + 1, dtype=float)
 
 
-def _ss_entries(spec: KernelSpec, T: int) -> np.ndarray:
-    """``gamma^(2 max + min) / 2 - gamma^(3 max) / 6`` over ``t, s = 1 .. T``."""
-    g, (mx, mn, _) = spec.gamma, _grid(T)
-    gp = _powers(g, 2 * T)
-    return gp[mx + mn] * gp[mx] / 2.0 - (g ** (3.0 * np.arange(T + 1)))[mx] / 6.0
+def _envelope(spec: KernelSpec) -> tuple[float, int]:
+    """``(x, m)``: every family's envelope is ``e = x^m``, ``(gamma, 3)`` for
+    SS and ``(beta, 1)`` otherwise, so ``K[t, s] = e^(min(t, s) - 1)
+    r[|t - s|]`` (:func:`build_kernel`)."""
+    return (spec.gamma, 3) if spec.family == "SS" else (spec.beta, 1)
 
 
-def _tc2_entries(spec: KernelSpec, T: int) -> np.ndarray:
+@lru_cache(maxsize=64)
+def _gather(T: int) -> np.ndarray:
+    """Read-only flat index ``min(t, s) T + |t - s|`` (0-based) over ``t, s <
+    T``: through it one gather takes ``K[t, s]`` from the ``T x T`` outer
+    product of the envelope's powers and the first row."""
+    t = np.arange(T)
+    flat = np.minimum.outer(t, t) * T + np.abs(np.subtract.outer(t, t))
+    flat.setflags(write=False)
+    return flat
+
+
+def _ss_row(spec: KernelSpec, T: int) -> np.ndarray:
+    """``gamma^(2d + 3) / 2 - gamma^(3d + 3) / 6``, ``d < T``."""
+    gp = _powers(spec.gamma, 3 * T)
+    return gp[3:2 * T + 3:2] / 2.0 - gp[3::3] / 6.0
+
+
+def _tc2_row(spec: KernelSpec, T: int) -> np.ndarray:
+    """``2 beta^(d + 2) + (1 - beta) (1 + d) beta^(d + 1)``, ``d < T``."""
     b = spec.beta
-    mx, _, d = _grid(T)
     bp = _powers(b, T + 1)
-    return 2.0 * bp[mx + 1] + (1.0 - b) * (1.0 + d) * bp[mx]
+    return 2.0 * bp[2:] + (1.0 - b) * (1.0 + np.arange(T)) * bp[1:-1]
 
 
-def _order2_entries(T: int, beta: float, alpha: float) -> np.ndarray:
-    """DC2 entries in the cumulative-geometric form, stable on all of
-    ``0 <= alpha <= 1``."""
-    mx, _, d = _grid(T)
-    S = np.cumsum(_powers(alpha, T - 1))  # S[d] = sum_{j<=d} alpha^j
-    Spad = np.concatenate(([0.0, 0.0], S))  # Spad[d] = S[d-2], zero for d < 2
-    vals = S[d] - beta * alpha * alpha * Spad[d]
-    np.fill_diagonal(vals, 1.0 + alpha * beta)
-    return _powers(beta, T)[mx] * vals
+def _dc2_row(spec: KernelSpec, T: int) -> np.ndarray:
+    """DC2's ``beta^(d + 1) (S[d] - beta alpha^2 S[d - 2])``, ``S[d] =
+    sum_{j <= d} alpha^j`` (``1 + alpha beta`` at ``d = 0``): the
+    cumulative-geometric form, stable on all of ``0 <= alpha <= 1``."""
+    b, a = spec.beta, spec.alpha
+    S = np.cumsum(_powers(a, T - 1))
+    vals = S - b * a * a * np.concatenate(([0.0, 0.0], S))[:T]
+    vals[0] = 1.0 + a * b
+    return _powers(b, T)[1:] * vals
 
 
 @lru_cache(maxsize=64)
@@ -597,16 +604,16 @@ def _dc_differences(p: int, alpha: float, beta: float) -> np.ndarray:
 
 def _first_row(spec: KernelSpec, T: int) -> np.ndarray:
     """``r[d] = K[1, 1 + d] = beta^d s[d]``, ``d < T``, of an order ``p >= 3``
-    base spec, ``s[d] = sum_j beta^(j+1) z_j z_{j+d}`` (``z`` the inverse
-    series), from Newton differences: ``s[d] = sum_{m < p} C(d, m) Delta^m
-    s[0]`` for TC; DC's last is ``u0 alpha^d``, so ``s[d] = sum_{m < p-1} C(d,
-    m) Delta^m s[0] + u0 z_{d-p+1}``, ``u0 = alpha^(p-1) beta / ((1 - alpha
-    beta)^(p-1) (1 - alpha^2 beta))`` (:func:`_tc_differences`,
+    TC- or DC-stem spec (unflipped), ``s[d] = sum_j beta^(j+1) z_j z_{j+d}``
+    (``z`` the inverse series), from Newton differences: ``s[d] = sum_{m < p}
+    C(d, m) Delta^m s[0]`` for TC; DC's last is ``u0 alpha^d``, so ``s[d] =
+    sum_{m < p-1} C(d, m) Delta^m s[0] + u0 z_{d-p+1}``, ``u0 = alpha^(p-1)
+    beta / ((1 - alpha beta)^(p-1) (1 - alpha^2 beta))`` (:func:`_tc_differences`,
     :func:`_dc_differences`).  All terms are positive and ``s`` grows
     polynomially in ``d``, so no row of a buildable ``T`` overflows: its largest
     entry ``s[0]`` stays below 6.7e307 (TC10 as ``beta -> 1``; DC's is no larger)."""
-    p, beta = spec.bandwidth, spec.beta
-    if spec.family == "TCd":
+    (stem, p), beta = _CANONICAL[spec.family, spec.delta], spec.beta
+    if stem == "TC":
         s = _binomials(T, p) @ _tc_differences(p, beta)
     else:
         diffs = _dc_differences(p, spec.alpha, beta)
@@ -777,74 +784,66 @@ def _series_factor(spec: KernelSpec, T: int) -> tuple[np.ndarray, float]:
 
 @dataclass(frozen=True)
 class _Record:
-    """Formulas of one ``(stem, order)``: ``entries(spec, T)`` (unflipped),
-    ``factor(spec, T) -> (bands of L, log det K)``, ``k11(spec) = K[1, 1]``
-    and ``kappa(spec)``; :func:`build_inverse` is ``L L^T`` of the factor."""
+    """Formulas of one ``(stem, order)``: the first row ``row(spec, T)``,
+    ``r[d] = K[1, 1 + d]`` for ``d < T``, unflipped and new (:func:`_row`
+    flips it in place), ``factor(spec, T) -> (bands of L, log det K)`` and
+    ``kappa(spec)``; :func:`build_inverse` is ``L L^T`` of the factor."""
 
-    entries: object
+    row: object
     factor: object
-    k11: object
     kappa: object = lambda s: 1.0
 
 
-# Closed forms.  TC2 keeps its own entries and kappa: the DC2 forms at
-# alpha = 1 differ from them in the last bit (entries at 776 of 800 (beta, T)
-# points, kappa at 109 of 400 betas).
+# Closed forms.  TC2 keeps its own row and kappa, which the DC2 forms at
+# alpha = 1 match only to the last bit.
 _RECORDS = {
     ("DI", 0): _Record(
-        entries=lambda s, T: np.diag(_powers(s.beta, T)[1:]),
+        row=lambda s, T: np.concatenate(([s.beta], np.zeros(T - 1))),
         factor=lambda s, T: ((s.beta ** (-np.arange(1, T + 1, dtype=float) / 2.0))[None, :],
                              np.log(s.beta) * T * (T + 1) / 2.0),
-        k11=lambda s: float(s.beta),
     ),
-    ("SS", None): _Record(
-        entries=_ss_entries,
-        factor=_ss_factor,
-        k11=lambda s: float(s.gamma ** 3 / 3.0),
-    ),
+    ("SS", None): _Record(row=_ss_row, factor=_ss_factor),
     ("TC", 1): _Record(
-        entries=lambda s, T: _powers(s.beta, T)[_grid(T)[0]],
+        row=lambda s, T: _powers(s.beta, T)[1:],
         factor=lambda s, T: _order1_bands(T, s.beta, 1.0, 1.0 - s.beta),
-        k11=lambda s: float(s.beta),
         kappa=lambda s: 1.0 - s.beta,
     ),
     ("DC", 1): _Record(
-        # (alpha beta)^|t-s| beta^min(t, s): |alpha beta| < 1, so no power overflows
-        entries=lambda s, T: (_powers(s.alpha * s.beta, T - 1)[_grid(T)[2]]
-                              * _powers(s.beta, T)[_grid(T)[1]]),
+        # beta (alpha beta)^d: |alpha beta| < 1, so no power overflows
+        row=lambda s, T: s.beta * _powers(s.alpha * s.beta, T - 1),
         factor=lambda s, T: _order1_bands(T, s.beta, s.alpha, _dc1_kappa(s)),
-        k11=lambda s: float(s.beta),
         kappa=_dc1_kappa,
     ),
     ("TC", 2): _Record(
-        entries=_tc2_entries,
+        row=_tc2_row,
         factor=lambda s, T: _order2_bands(T, s.beta, 1.0),
-        k11=lambda s: float(s.beta * (1.0 + s.beta)),
         kappa=lambda s: (1.0 - s.beta) ** 3,
     ),
     ("DC", 2): _Record(
-        entries=lambda s, T: _order2_entries(T, s.beta, s.alpha),
+        row=_dc2_row,
         factor=lambda s, T: _order2_bands(T, s.beta, s.alpha),
-        k11=lambda s: float(s.beta * (1.0 + s.alpha * s.beta)),
         kappa=lambda s: (
             (1.0 - s.beta) * (1.0 - s.alpha * s.beta) * (1.0 - s.alpha * s.alpha * s.beta)
         ),
     ),
 }
 
-# Orders >= 3, unnormalized (the scale hyperparameter absorbs the constant), are
-# exponentially convex: K[t, s] = beta^(min(t, s) - 1) r[|t - s|].  The row r,
-# and so K[1, 1] = r[0], is closed; only the factor's corner is a series.
-_SERIES_RECORD = _Record(
-    entries=lambda s, T: (_powers(s.beta, T - 1)[_grid(T)[1] - 1]
-                          * _first_row(s.base(), T)[_grid(T)[2]]),
-    factor=_series_factor,
-    k11=lambda s: float(_first_row(s.base(), 1)[0]),
-)
+# Orders >= 3 are unnormalized (the scale hyperparameter absorbs the
+# constant); their row is closed, and only the factor's corner is a series.
+_SERIES_RECORD = _Record(row=_first_row, factor=_series_factor)
 
 
 def _record(spec: KernelSpec) -> _Record:
     return _RECORDS.get(_CANONICAL[spec.family, spec.delta], _SERIES_RECORD)
+
+
+def _row(spec: KernelSpec, T: int) -> np.ndarray:
+    """``r[d] = K[1, 1 + d]``, ``d < T``: the record's row, times ``(-1)^d``
+    for a sign-flipped family (``S K S``, ``S = diag(1, -1, 1, ...)``)."""
+    r = _record(spec).row(spec, T)
+    if spec.sign_flipped:
+        r[1::2] *= -1.0
+    return r
 
 
 # ---------------------------------------------------------------------------
@@ -870,19 +869,19 @@ def normalization_kappa(spec: KernelSpec) -> float:
 
 @single_threaded
 def build_kernel(spec: KernelSpec, dim: int) -> np.ndarray:
-    """Dense ``dim x dim`` kernel matrix for ``spec`` from closed-form
-    entries, for orders above 2 through Newton differences
-    (:func:`_first_row`).  Sign-flipped families multiply entries by
-    ``(-1)**|t-s|``.
+    """Dense ``dim x dim`` kernel matrix for ``spec``: every family is
+    exponentially convex and locally stationary, ``K[t, s] = e^(min(t, s) -
+    1) r[|t - s|]``, its first row ``r`` (:func:`_row`) spread under the
+    powers of its envelope ``e`` (:func:`_envelope`), each power rounded once.
+
+    >>> build_kernel(KernelSpec("TC", beta=0.5), 2)
+    array([[0.5 , 0.25],
+           [0.25, 0.25]])
     """
-    return _sign_flip(spec, _record(spec).entries(spec, _dimension(dim)))
-
-
-def _sign_flip(spec: KernelSpec, K: np.ndarray) -> np.ndarray:
-    """``S K S``, ``S = diag(1, -1, 1, ...)``, for a sign-flipped family."""
-    if not spec.sign_flipped:
-        return K
-    return np.where(_grid(len(K))[2] % 2 == 1, -K, K)
+    T = _dimension(dim)
+    x, m = _envelope(spec)
+    powers = _powers(x, m * (T - 1))[::m]
+    return np.outer(powers, _row(spec, T)).ravel()[_gather(T)]
 
 
 @single_threaded
@@ -939,15 +938,15 @@ def inverse_cholesky(spec: KernelSpec, dim: int) -> BandedFactor:
     return BandedFactor(T, bands.shape[0] - 1, bands, float(logdet))
 
 
-@lru_cache(maxsize=4096)
 @single_threaded
 def leading_variance(spec: KernelSpec) -> float:
-    """``K[1, 1]``: the prior variance of the first impulse coefficient.
+    """``K[1, 1] = r[0]``: the prior variance of the first impulse coefficient,
+    the very entry :func:`build_kernel` puts in the corner.
 
     Used to put kernels of different orders on a common scale, since the
     unnormalized high-order families grow like ``(1-beta)**-(2*delta-1)``.
     """
-    return _record(spec).k11(spec)
+    return float(_row(spec, 1)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -993,26 +992,25 @@ def _unit_tangents(spec: KernelSpec, dim: int) -> np.ndarray:
     """``dK[k]``: the derivatives of :func:`_unit_kernel` along each shape
     parameter of the family (beta, alpha or gamma, in ``_FAMILY_TABLE``
     order), as complex steps ``Im K~(theta + i h e_k) / h`` through the very
-    entries :func:`build_kernel` evaluates, ``h = _COMPLEX_STEP |theta_k|``
-    (1e-20 at ``alpha = 0``).  Every entry formula is holomorphic in its
-    parameters (``_recurrence`` takes a complex ``alpha``), so this is the
-    derivative up to the rounding of ``K / K[1, 1]`` itself, a few eps times
-    ``|d log K[1, 1]|``; that floor shows where the normalized kernel moves
-    far less than ``K[1, 1]`` (DC-stem orders >= 3 along alpha near ``beta
-    = 1``).  Sign-flipped families flip their base's derivatives.  Refused
-    where not finite."""
-    base = spec.base()
+    envelope and row :func:`build_kernel` evaluates, ``h = _COMPLEX_STEP
+    |theta_k|`` (1e-20 at ``alpha = 0``).  Every row formula is holomorphic
+    in its parameters (``_recurrence`` takes a complex ``alpha``), and a
+    sign-flipped row flips the step with it, so this is the derivative up to
+    the rounding of ``K / K[1, 1]`` itself, a few eps times ``|d log K[1,
+    1]|``; that floor shows where the normalized kernel moves far less than
+    ``K[1, 1]`` (DC-stem orders >= 3 along alpha near ``beta = 1``).
+    Refused where not finite."""
     names = [name for name in _FAMILY_TABLE[spec.family][2] if name != "delta"]
 
     def tangents():
         out = []
         for name in names:
-            x = getattr(base, name)
+            x = getattr(spec, name)
             h = _COMPLEX_STEP * (abs(x) or 1.0)
             moved = object.__new__(KernelSpec)  # a complex value fails validation
-            moved.__dict__.update(vars(base), **{name: x + 1j * h})
+            moved.__dict__.update(vars(spec), **{name: x + 1j * h})
             K = build_kernel(moved, dim)
-            out.append(_sign_flip(spec, (K / K[0, 0]).imag / h))
+            out.append((K / K[0, 0]).imag / h)
         return np.array(out)
 
     return _finite(spec, dim, "the derivative of K / K[1, 1]", tangents)

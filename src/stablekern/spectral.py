@@ -1,9 +1,10 @@
 """Spectral analysis of the kernel families.
 
 Every family factors exactly as an exponential envelope times a stationary
-kernel (the series families are built from their first row that way):
+kernel; ``build_kernel`` forms ``env**(min(t, s) - 1) * r[|t - s|]`` from
+the first row ``r`` and the envelope of ``kernels._envelope``, so
 
-    K[t, s] = env**((t + s) / 2) * w(|t - s|),   env = beta (gamma**3 for SS).
+    K[t, s] = env**((t + s) / 2) * w(|t - s|),   w(d) = env**(-1 - d/2) r[d].
 
 ``stationary_part`` extracts and certifies ``w``; ``psd`` evaluates the
 truncated cosine-series power spectral density of ``w``; and
@@ -28,7 +29,7 @@ from scipy.linalg.lapack import dpotrf
 
 from ._blas import single_threaded
 from .errors import DecompositionError, DimensionError, ParameterError
-from .kernels import KernelSpec, build_kernel
+from .kernels import KernelSpec, _envelope, build_kernel
 
 __all__ = [
     "StationaryKernel",
@@ -117,10 +118,6 @@ class PSD:
         )
 
 
-def _envelope(spec: KernelSpec) -> float:
-    return spec.gamma ** 3 if spec.family == "SS" else spec.beta
-
-
 @lru_cache(maxsize=64)
 def _upper_diagonals(T: int):
     """The upper diagonals of a ``T x T`` matrix packed lag after lag
@@ -158,7 +155,8 @@ def stationary_part(spec: KernelSpec, T: int = SPECTRAL_T,
     T = int(T)
     if T < 1:
         raise DimensionError(f"working length must be >= 1; got {T}")
-    env = _envelope(spec) if envelope is None else float(envelope)
+    x, m = _envelope(spec)
+    env = x ** m if envelope is None else float(envelope)
     if not 0.0 < env < 1.0:
         raise ParameterError(f"envelope must lie in (0, 1); got {env}")
     flat, halfsum, starts, runs = _upper_diagonals(T)

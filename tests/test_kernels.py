@@ -376,9 +376,9 @@ def test_sign_flip_is_a_similarity():
 
 
 def test_leading_variance_matches_corner_entry():
-    for sp in CASES:
-        want = build_kernel(sp, 1)[0, 0] if (sp.bandwidth or 0) <= 2 else build_kernel(sp, sp.bandwidth + 2)[0, 0]
-        assert leading_variance(sp) == pytest.approx(want, rel=1e-11), sp
+    # K[1, 1] is the row's r[0] at every dimension, to the last bit
+    for sp, T in itertools.product(CASES, (1, 2, 12, 50, 200)):
+        assert leading_variance(sp) == build_kernel(sp, T)[0, 0], (sp, T)
 
 
 def _mpmath_operator(base):
@@ -491,8 +491,7 @@ def test_series_kernel_shift_identity(sp):
 
 
 def _clear_caches():
-    for cache in (kernels._series, leading_variance,
-                  kernels._binomials, kernels._grid, kernels._band_index):
+    for cache in (kernels._series, kernels._binomials, kernels._gather, kernels._band_index):
         cache.cache_clear()
 
 
@@ -737,6 +736,44 @@ def _mpmath_kernel(sp, T, param, x):
                        for j in t] for i in t])
 
 
+# The closed forms of orders 1 and 2 are kappa times the operator's kernel.
+_MPMATH_KAPPA = {
+    ("TC", 1): lambda b, a: 1 - b,
+    ("DC", 1): lambda b, a: 1 - a * a * b,
+    ("TC", 2): lambda b, a: (1 - b) ** 3,
+    ("DC", 2): lambda b, a: (1 - b) * (1 - a * b) * (1 - a * a * b),
+}
+
+CLOSED_ROW_CASES = [("DI", {}), ("TC", {}), ("DC", {"alpha": 0.5}), ("DC", {"alpha": -0.5}),
+                    ("SS", {}), ("TC2", {}), ("DC2", {"alpha": 0.5}), ("HF2", {})]
+
+
+@pytest.mark.parametrize("beta", [0.3, 0.9, 0.999])
+@pytest.mark.parametrize("name, kw", CLOSED_ROW_CASES,
+                         ids=[n + "".join(f"-{v}" for v in kw.values())
+                              for n, kw in CLOSED_ROW_CASES])
+def test_closed_form_kernels_match_mpmath(name, kw, beta):
+    # the envelope's powers times the row, each rounded once, hold 3 eps
+    # relative to the paper's definitions at every entry of normal magnitude
+    # (measured at T = 200: at most 2.5 eps; SS's envelope taken as powers of
+    # a rounded gamma^3 measured 26-48 eps), and exact zeros stay zeros
+    mp = pytest.importorskip("mpmath")
+    param = "gamma" if name == "SS" else "beta"
+    sp = spec(name, **{param: beta}, **kw)
+    T = 120
+    got = build_kernel(sp, T)
+    kappa = _MPMATH_KAPPA.get(kernels._CANONICAL[sp.family, sp.delta], lambda b, a: 1)
+    with mp.workdps(40):
+        want = _mpmath_kernel(sp, T, param, mp.mpf(beta))
+        want *= kappa(mp.mpf(beta), mp.mpf(kw.get("alpha", 0.0)))
+        zero = np.array([[want[i, j] == 0 for j in range(T)] for i in range(T)])
+        err = np.array([[0.0 if zero[i, j] else float(abs(got[i, j] / want[i, j] - 1))
+                         for j in range(T)] for i in range(T)])
+    assert np.all(got[zero] == 0.0)
+    normal = np.abs(got) >= np.finfo(float).tiny
+    assert np.max(err[normal]) <= 3 * np.finfo(float).eps, np.max(err[normal])
+
+
 @pytest.mark.parametrize("beta", [1e-3, 0.3, 0.8, 0.95, 0.99, 0.999])
 @pytest.mark.parametrize("name, kw", HOLOMORPHY_CASES,
                          ids=[n + "".join(f"-{v}" for v in kw.values())
@@ -822,13 +859,16 @@ def test_complex_step_tangents_match_differences(name, kw, beta):
 
 
 @pytest.mark.parametrize("name, kw", [("DC", {"alpha": -0.5}), ("DC", {"alpha": -0.95}),
-                                      ("DC", {"alpha": 0.5}), ("TC", {}), ("SS", {}),
-                                      ("HF2", {}), ("DC2", {"alpha": 0.5}), ("DC3", {"alpha": 0.5})],
+                                      ("DC", {"alpha": 0.5}), ("DI", {}), ("TC", {}), ("SS", {}),
+                                      ("TC2", {}), ("HF2", {}), ("DC2", {"alpha": 0.5}),
+                                      ("DC3", {"alpha": 0.5}), ("HC3", {"alpha": 0.5}),
+                                      ("TC6", {})],
                          ids=lambda v: "".join(f"{v}" for v in v.values()) if isinstance(v, dict) else v)
 def test_complex_step_tangents_hold_past_lag_100(name, kw):
     # numpy's complex power turns to exp(k log x) from k = 100, which loses a
     # complex step on a negative base (DC's alpha beta for alpha < 0); the
-    # entries' powers must keep it at every lag
+    # envelope's and the rows' powers must keep it at every lag, for every
+    # family and through the high-frequency flip
     sp = spec(name, **({"gamma": 0.99} if name == "SS" else {"beta": 0.99}), **kw)
     _check_tangents_against_differences(sp, 120)
 
