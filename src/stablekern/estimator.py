@@ -13,8 +13,9 @@ stacked least-squares system (:func:`nll_qr`), and, in the tuner, on the
 ``T x T`` covariance ``lam R K~ R' + sigma2 I`` of the reduced data, with
 ``K~ = K / K[1, 1]`` and ``R`` the R factor of ``A``.  The last two cost
 ``O(T^3)`` per trial point after a one-time reduction of ``[A  y]``.  The
-tuner runs BFGS on that one core: its gradient needs ``K~`` and its
-complex-step derivatives (:func:`~stablekern.kernels._unit_tangents`), no
+tuner runs BFGS (:func:`minimize`, a plain loop whose line search stops at a
+fixed number of evaluations) on that one core: its gradient needs ``K~`` and
+its complex-step derivatives (:func:`~stablekern.kernels._unit_tangents`), no
 factor of ``K^{-1}``.
 """
 
@@ -24,6 +25,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, solve_triangular, toeplitz
@@ -420,15 +422,15 @@ _DEFAULT_ALPHA_GRID = (0.15, 0.5, 0.85)
 # the ``_LINE_SEARCH_EVALS`` cap.
 _GRAD_TOL = 1e-8
 
-# Likelihood evaluations one BFGS step may spend (the first step counts its
-# start point); later trial points of the step score ``inf`` unevaluated.
-# Without the cap, over the 120 fits of the first four ``mc-serial``
-# benchmark units, 99 % of accepted steps needed at most 3 evaluations, and
-# the 16 that needed more than 10 each lowered the NLL by 0-151 ulps; the 131
-# line searches that failed after more than 10 spent 18-65 evaluations on
-# values a median 4 ulps (at most 3e-12 relative) from the incumbent.  A cap
-# of 4 cost one fit 1.4e-3 of its NLL; 6 saved only 2 % more evaluations
-# than 10.
+# Likelihood evaluations one BFGS line search may spend, the first step
+# counting its start point: the bound of :func:`minimize`'s search loop,
+# which fails the step when it runs out.  Measured on scipy's BFGS without a
+# cap, over the 120 fits of the first four ``mc-serial`` benchmark units, 99
+# % of accepted steps needed at most 3 evaluations, and the 16 that needed
+# more than 10 each lowered the NLL by 0-151 ulps; the 131 line searches
+# that failed after more than 10 spent 18-65 evaluations on values a median
+# 4 ulps (at most 3e-12 relative) from the incumbent.  A cap of 4 cost one
+# fit 1.4e-3 of its NLL; 6 saved only 2 % more evaluations than 10.
 _LINE_SEARCH_EVALS = 10
 
 
@@ -515,37 +517,85 @@ class _Likelihood:
                               float(self.sigma2), nll)
 
 
-def minimize(*args, **kwargs):
-    """``scipy.optimize.minimize``, imported on the first fit: the import
-    costs about 0.3 s, which a process that only builds kernels never pays."""
-    from scipy.optimize import minimize as scipy_minimize
+class _Minimum(NamedTuple):
+    """The end of a :func:`minimize` run: the last accepted point, its value,
+    the evaluations spent, and ``status`` 0 at ``_GRAD_TOL``, 1 at
+    ``maxiter`` or 2 when a line search failed or reached the cap."""
 
-    return scipy_minimize(*args, **kwargs)
+    x: np.ndarray
+    fun: float
+    nfev: int
+    status: int
 
 
-def _bfgs(fun, z0, maxiter: int):
-    """scipy's BFGS on ``fun`` (value and gradient) from ``z0``, with each step
-    cut after ``_LINE_SEARCH_EVALS`` evaluations of ``fun``.
+def _cubic_min(a, fa, da, b, fb, db):
+    """Minimizer of the cubic with values ``fa, fb`` and slopes ``da, db`` at
+    ``a`` and ``b`` (Nocedal & Wright, eq. 3.59), or ``None`` if it has none
+    or a value is infinite."""
+    d1 = da + db - 3.0 * (fa - fb) / (a - b)
+    disc = d1 * d1 - da * db
+    if not (math.isfinite(disc) and disc >= 0.0):
+        return None
+    d2 = math.copysign(math.sqrt(disc), b - a)
+    denom = db - da + 2.0 * d2
+    return b - (b - a) * (db + d2 - d1) / denom if denom != 0.0 else None
 
-    Trial points past the cap score ``inf`` without calling ``fun``, so the
-    line search fails as scipy's own does and the run ends with status 2 at
-    the last accepted iterate.  The count restarts at every accepted step.
+
+def minimize(fun, z0, maxiter: int) -> _Minimum:
+    """BFGS on ``fun``, which returns a value and its gradient, from ``z0``.
+
+    The inverse Hessian is updated as in Nocedal & Wright (2nd ed., Alg.
+    6.1), with ``rho = 1000`` where ``y's = 0`` as scipy does.  Each step
+    searches for a strong Wolfe point (``c1 = 1e-4``, ``c2 = 0.9``): it
+    doubles scipy's first trial step until a bracket holds one (Alg. 3.5),
+    then zooms in with cubic steps safeguarded by bisection (Alg. 3.6).  A
+    point scored ``(inf, 0)`` fails sufficient decrease, so the bracket
+    shrinks toward its low end.  A search that spends ``_LINE_SEARCH_EVALS``
+    evaluations (the first counting ``z0``) fails, and the run ends at its
+    last accepted point.
     """
-    spent = 0
-
-    def capped(z):
-        nonlocal spent
-        spent += 1
-        if spent > _LINE_SEARCH_EVALS:
-            return math.inf, np.zeros(len(z))
-        return fun(z)
-
-    def step_accepted(intermediate_result):
-        nonlocal spent
-        spent = 0
-
-    return minimize(capped, z0, jac=True, method="BFGS", callback=step_accepted,
-                    options={"gtol": _GRAD_TOL, "maxiter": maxiter})
+    x = np.array(z0, dtype=float)
+    f, g = fun(x)
+    f, nfev = float(f), 1
+    f_prev = f + float(np.linalg.norm(g)) / 2
+    H = np.eye(x.size)
+    for k in range(maxiter):
+        if np.abs(g).max() <= _GRAD_TOL:
+            return _Minimum(x, f, nfev, 0)
+        p = -H @ g
+        d0 = float(g @ p)
+        if not d0 < 0.0:
+            return _Minimum(x, f, nfev, 2)
+        a = 2.02 * (f - f_prev) / d0
+        a = min(1.0, a) if a > 0.0 else 1.0
+        lo, hi = (0.0, f, d0), None  # (step, value, slope)
+        for n in range(_LINE_SEARCH_EVALS - (k == 0)):
+            f_a, g_a = fun(x + a * p)
+            nfev += 1
+            trial = (a, float(f_a), float(g_a @ p))
+            if trial[1] > f + 1e-4 * a * d0 or (n and trial[1] >= lo[1]):
+                hi = trial  # a Wolfe point lies between lo and the trial
+            elif abs(trial[2]) <= -0.9 * d0:
+                break
+            else:
+                if trial[2] * (hi[0] - lo[0] if hi else 1.0) >= 0.0:
+                    hi = lo  # the slope turned: one lies behind the trial
+                lo = trial
+            if hi is None:
+                a = 2.0 * a
+            else:
+                w = hi[0] - lo[0]
+                c = _cubic_min(*lo, *hi)
+                a = c if c is not None and 0.1 <= (c - lo[0]) / w <= 0.9 else lo[0] + 0.5 * w
+        else:
+            return _Minimum(x, f, nfev, 2)
+        s, y = a * p, g_a - g
+        x, f_prev, f, g = x + s, f, trial[1], g_a
+        ys = float(y @ s)
+        rho = 1.0 / ys if ys != 0.0 else 1000.0
+        V = np.eye(x.size) - rho * np.outer(s, y)
+        H = V @ H @ V.T + rho * np.outer(s, s)
+    return _Minimum(x, f, nfev, 0 if np.abs(g).max() <= _GRAD_TOL else 1)
 
 
 @single_threaded
@@ -570,9 +620,9 @@ def fit_hyperparameters(
     gradient (complex-step shape derivatives) in logit/log-transformed
     coordinates, and restarts BFGS until it stops improving, which makes
     refits with the returned point as sole seed reproduce the result bit for
-    bit.  A BFGS run ends at its last accepted step once a line search has spent
-    ``_LINE_SEARCH_EVALS`` evaluations, which near an optimum only probe the
-    rounding of the NLL.
+    bit.  A BFGS run (:func:`minimize`) ends at its last accepted step when a
+    line search fails: it may spend ``_LINE_SEARCH_EVALS`` evaluations,
+    which near an optimum only probe the rounding of the NLL.
 
     ``template`` names the family (e.g. ``"TC2"``, ``"DC"``; a ``(name,
     delta)`` pair such as ``("TCd", 3)`` or a :class:`KernelSpec` is also
@@ -648,8 +698,8 @@ def fit_hyperparameters(
     for f0, v0 in scored[: max(1, refine_starts)]:
         f_cur, v_cur = f0, list(v0)
         while True:
-            res = _bfgs(likelihood.value_and_grad, transform.to_z(v_cur),
-                        maxiter * len(v_cur))
+            res = minimize(likelihood.value_and_grad, transform.to_z(v_cur),
+                           maxiter * len(v_cur))
             if res.fun < f_cur:
                 f_cur, v_cur = float(res.fun), transform.from_z(res.x)
             else:

@@ -80,14 +80,14 @@ def test_pool_worker_fits_at_one_thread(outside, monkeypatch, tmp_path):
     # its process id and the thread counts it sees to a file of its own
     if multiprocessing.get_start_method() != "fork":
         pytest.skip("patched modules reach pool workers only through fork")
-    original = estimator._bfgs
+    original = estimator.minimize
 
     def recording(*args, **kwargs):
         with open(tmp_path / f"{os.getpid()}.txt", "a") as fh:
             fh.write(" ".join(map(str, counts())) + "\n")
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(estimator, "_bfgs", recording)
+    monkeypatch.setattr(estimator, "minimize", recording)
     cfg = ExperimentConfig(study=1, runs=2, N=120, T=10, seed=3, estimators=("TC",))
     result = run_monte_carlo(cfg, workers=2)
     assert all(row.error is None for row in result.rows)

@@ -634,21 +634,22 @@ def test_fit_runs_through_refused_grid_points_without_warnings():
 
 def _spy_on_steps(monkeypatch, counter):
     """Record, for every BFGS run of the estimator, the calls ``counter[0]``
-    counts before each accepted step and, last, in the final search."""
+    counts in each step's line search (the first counting the start point)
+    and, last, in the search that ended the run.  The loop is deterministic,
+    so the run is replayed with ``maxiter = 1, 2, ...`` until it stops on
+    its own, and each step spends the difference of two replays."""
     runs = []
     real = estimator.minimize
 
-    def spy(fun, x0, callback=None, **kwargs):
-        run = []
-        counter[0] = 0
-
-        def step(intermediate_result):
-            run.append(counter[0])
+    def spy(fun, z0, maxiter):
+        spent = []
+        for steps in range(1, maxiter + 1):
             counter[0] = 0
-            return callback(intermediate_result)
-
-        res = real(fun, x0, callback=step, **kwargs)
-        runs.append(run + [counter[0]])
+            res = real(fun, z0, steps)
+            spent.append(counter[0])
+            if res.status != 1:
+                break
+        runs.append(np.diff(spent, prepend=0).tolist())
         return res
 
     monkeypatch.setattr(estimator, "minimize", spy)
@@ -663,35 +664,31 @@ def _rounded_quadratic(z):
     return round(0.5 * r @ grad / 1e-9) * 1e-9, grad
 
 
-def test_bfgs_cap_ends_a_failing_search_at_scipys_result(monkeypatch):
+def test_bfgs_cap_ends_a_failing_search_at_the_last_accepted_step(monkeypatch):
     cap = estimator._LINE_SEARCH_EVALS
     z0 = np.full(6, 2.0)
     calls = [0]
-    steps = []
 
     def counted(z):
         calls[0] += 1
         return _rounded_quadratic(z)
 
-    def step(intermediate_result):
-        steps.append(calls[0])
-        calls[0] = 0
-
-    ref = minimize(counted, z0, jac=True, method="BFGS", callback=step,
-                   options={"gtol": estimator._GRAD_TOL, "maxiter": 400})
-    # scipy's own final search fails after more than the cap, every
-    # accepted step before it needed at most the cap, and together they
-    # needed more, so the count must restart at every step
-    assert ref.status == 2 and calls[0] > cap
-    assert max(steps) <= cap < sum(steps)
-
+    real = estimator.minimize
     runs = _spy_on_steps(monkeypatch, calls)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        res = estimator._bfgs(counted, z0, 400)
-    assert len(runs) == 1 and max(runs[0]) <= cap
-    assert res.status == 2
-    assert np.array_equal(res.x, ref.x) and res.fun == ref.fun
+        res = estimator.minimize(counted, z0, 400)
+    # the final search fails at the cap, every accepted step before it
+    # needed at most the cap, and together they needed more, so the count
+    # restarts at every step
+    (run,) = runs
+    assert res.status == 2 and run[-1] == cap
+    assert max(run) <= cap < sum(run) == res.nfev
+    # the run ends at the last accepted step, with its value
+    last = real(counted, z0, len(run) - 1)
+    assert last.status == 1
+    assert np.array_equal(res.x, last.x) and res.fun == last.fun
+    assert res.fun == _rounded_quadratic(res.x)[0]
 
 
 @pytest.mark.parametrize("name", ["DC3", "DC2", "SS", "TC3", "TC6"])
@@ -713,6 +710,61 @@ def test_fit_line_searches_stay_within_the_cap(monkeypatch, name):
     assert max(max(run) for run in runs) == cap
     # the count restarts at every accepted step, so a run may spend more
     assert max(sum(run) for run in runs) > cap
+
+
+def _rosenbrock(z):
+    x, y = z
+    return (1 - x) ** 2 + 100 * (y - x * x) ** 2, np.array(
+        [-2 * (1 - x) - 400 * x * (y - x * x), 200 * (y - x * x)])
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_bfgs_minimizes_a_convex_quadratic_to_the_gradient_tolerance(dim):
+    rng = np.random.default_rng(dim)
+    Q = rng.standard_normal((dim, dim))
+    H = Q @ Q.T + np.diag(np.logspace(0.0, 2.0, dim))
+    m = rng.standard_normal(dim)
+
+    def quadratic(z):
+        return 0.5 * (z - m) @ H @ (z - m), H @ (z - m)
+
+    res = estimator.minimize(quadratic, np.full(dim, 3.0), 200)
+    assert res.status == 0
+    assert np.abs(quadratic(res.x)[1]).max() <= estimator._GRAD_TOL
+    assert res.fun == quadratic(res.x)[0]
+
+
+def test_bfgs_backs_off_from_refused_points():
+    # the minimum lies beyond a wall at z[0] = 1, past which points are
+    # refused as the likelihood refuses them, with (inf, 0)
+    refused = [0]
+
+    def walled(z):
+        if z[0] > 1.0:
+            refused[0] += 1
+            return math.inf, np.zeros(2)
+        r = z - np.array([5.0, 0.0])
+        return 0.5 * r @ r, r
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = estimator.minimize(walled, np.array([0.0, 0.5]), 200)
+    assert refused[0] > 0
+    assert math.isfinite(res.fun) and res.x[0] <= 1.0
+    assert res.fun == walled(res.x)[0] < walled(np.array([0.0, 0.5]))[0]
+
+
+def test_bfgs_stops_at_maxiter():
+    res = estimator.minimize(_rosenbrock, np.array([-1.2, 1.0]), 3)
+    assert res.status == 1 and res.nfev > 3
+    assert res.fun == _rosenbrock(res.x)[0] < _rosenbrock(np.array([-1.2, 1.0]))[0]
+
+
+def test_bfgs_runs_are_bit_identical():
+    one = estimator.minimize(_rosenbrock, np.array([-1.2, 1.0]), 400)
+    two = estimator.minimize(_rosenbrock, np.array([-1.2, 1.0]), 400)
+    assert one.status == 0
+    assert np.array_equal(one.x, two.x) and (one.fun, one.nfev) == (two.fun, two.nfev)
 
 
 def test_fit_recovers_impulse_response_shape():
