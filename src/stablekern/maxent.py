@@ -106,12 +106,26 @@ class BandSpec:
 
     @classmethod
     def from_csv(cls, path_or_file) -> "BandSpec":
+        """Read the triples of :meth:`to_csv`.  A row whose indices are not
+        integers >= 1 or whose value is not finite is refused, and so is a
+        file with fewer rows than its band has entries, before any storage
+        is sized from its indices."""
         arr = load_csv(path_or_file, "band CSV")
         if arr.shape[1] != 3:
             raise ParameterError("band CSV must have rows (t, s, value)")
+        for row, (ti, si, vi) in enumerate(arr.tolist(), start=1):
+            if not all(np.isfinite(i) and i >= 1 and i == int(i) for i in (ti, si)):
+                raise ParameterError(f"band CSV, row {row}: indices ({ti:g}, {si:g}) are not "
+                                     "integers >= 1")
+            if not np.isfinite(vi):
+                raise ParameterError(f"band CSV, row {row}: value {vi:g} is not finite")
+        T = int(arr[:, :2].max())
+        m = int(np.abs(arr[:, 0] - arr[:, 1]).max())
+        entries = (m + 1) * T - m * (m + 1) // 2
+        if len(arr) < entries:
+            raise ParameterError(f"band CSV has {len(arr)} rows for the {entries} entries of a "
+                                 f"bandwidth-{m} band of dim {T}")
         t, s = arr[:, :2].astype(int).T
-        T = int(max(t.max(), s.max()))
-        m = int(np.abs(t - s).max())
         data = np.full((m + 1, T), np.nan)
         for ti, si, vi in zip(t, s, arr[:, 2]):
             d = abs(ti - si)

@@ -29,7 +29,7 @@ from stablekern.maxent import BandSpec, maxent_completion
 from stablekern.simulation import ExperimentConfig, run_monte_carlo
 from stablekern.spectral import low_frequency_mass, psd, stationary_part
 
-from closed_form_inverse import closed_form_inverse
+from oracle import closed_form_inverse
 
 
 def spec(name, **kw):

@@ -16,6 +16,8 @@ from stablekern.cli import main
 from stablekern.estimator import Dataset
 from stablekern.kernels import MAX_ORDER, KernelSpec, build_kernel, matrix_from_csv
 
+import oracle
+
 
 def run_cli(*argv):
     return main(list(argv))
@@ -132,14 +134,10 @@ def test_kernel_past_the_largest_double_exit_1(capsys, argv):
 def test_kernel_dc_large_alpha_is_finite(capsys):
     # alpha^(dim-1) overflows here; the entries (alpha beta)^|t-s| beta^min(t,s)
     # do not, where the command once printed 12432 NaN
-    mp = pytest.importorskip("mpmath")
     assert run_cli("kernel", "--family", "DC", "--beta", "1e-7", "--alpha", "3000",
                    "--dim", "200") == 0
     K = np.loadtxt(io.StringIO(capsys.readouterr().out), delimiter=",")
-    t = np.arange(1, 201)
-    with mp.workdps(30):
-        ab, b = mp.mpf(3000.0) * mp.mpf(1e-7), mp.mpf(1e-7)
-        want = np.array([[float(ab ** abs(i - j) * b ** min(i, j)) for j in t] for i in t])
+    want = np.array(oracle.kernel(KernelSpec("DC", beta=1e-7, alpha=3000.0), 200).tolist(), float)
     np.testing.assert_allclose(K, want, rtol=1e-13, atol=np.finfo(float).tiny)
 
 

@@ -7,12 +7,14 @@ hand-derived special cases.
 """
 
 import io
+import itertools
 import json
 import math
 import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 from scipy.optimize import minimize
 
 from stablekern import estimator, kernels, simulation
@@ -42,6 +44,8 @@ from stablekern.kernels import (
     leading_variance,
     parse_family,
 )
+
+import oracle
 
 
 def spec(name, **kw):
@@ -228,34 +232,14 @@ def _reduce(u, y, T):
     return estimator._reduce_data(build_regressor(u, len(y), T), y)
 
 
-def _mpmath_reduced_nll(R0, p, beta, lam, sigma2, N, dps=50):
-    """The likelihood ``nll_qr`` computes, at ``dps`` digits, from the reduced
-    data ``R0 = [[R_A, r], [0, rho]]``: ``rho^2 / sigma2 + r' G^-1 r + (N -
-    T) log sigma2 + log det G`` with ``G = sigma2 I + lam R_A K R_A'``.  The
-    TC``p`` kernel ``K[t, s] = beta^min(t, s) r[|t - s|]`` is summed from its
-    exact integer inverse series ``z_j = C(j + p - 1, p - 1)``."""
-    mp = pytest.importorskip("mpmath")
-    T = R0.shape[0] - 1
-    with mp.workdps(dps):
-        b = mp.mpf(beta)
-        row, bj, j = [mp.mpf(0)] * T, b, 0
-        while True:
-            zj = math.comb(j + p - 1, p - 1)
-            for d in range(T):
-                row[d] += bj * zj * math.comb(j + d + p - 1, p - 1)
-            if j > 10 and bj * zj * zj < mp.mpf(10) ** (-dps - 5) * row[0]:
-                break
-            bj, j = bj * b, j + 1
-        K = mp.matrix(T, T)
-        for t in range(T):
-            for s in range(T):
-                K[t, s] = b ** min(t, s) * b ** abs(t - s) * row[abs(t - s)]
-        RA = mp.matrix(R0[:T, :T].tolist())
-        s2 = mp.mpf(sigma2)
-        C = mp.cholesky(s2 * mp.eye(T) + mp.mpf(lam) * RA * K * RA.T)
-        x = mp.lu_solve(C, mp.matrix(R0[:T, T].tolist()))
-        return (mp.mpf(R0[T, T]) ** 2 / s2 + sum(xi ** 2 for xi in x)
-                + (N - T) * mp.log(s2) + 2 * sum(mp.log(C[i, i]) for i in range(T)))
+def _study_run(T):
+    """Run 1 of study 1 at seed 0 (N = 500), with the default noise variance
+    at ``T``."""
+    rng = simulation._run_rng(0, 1)
+    system = simulation.sample_impulse_response(1, rng, T=50)
+    u = simulation.generate_input(500, 0.2, rng)
+    y, _ = simulation.simulate_output(system, u, 1.0, rng)
+    return Dataset(u, y, sigma2=estimator._default_sigma2(Dataset(u, y), T))
 
 
 @pytest.mark.parametrize("beta, rtol", [(0.79, 1e-10), (0.9, 1e-9)])
@@ -263,17 +247,13 @@ def test_tc6_qr_likelihood_matches_mpmath(beta, rtol):
     # run 1 of study 1 at seed 0, unit-scaled lam = 1, T = 50: the order-6
     # trailing corner once put the QR likelihood off by 8.9e-9 at beta =
     # 0.79 and 1.1e-3 at beta = 0.9
-    rng = simulation._run_rng(0, 1)
-    system = simulation.sample_impulse_response(1, rng, T=50)
-    u = simulation.generate_input(500, 0.2, rng)
-    y, _ = simulation.simulate_output(system, u, 1.0, rng)
-    N, T = len(y), 50
-    sigma2 = estimator._default_sigma2(Dataset(u, y), T)
-    R0 = _reduce(u, y, T)
+    T = 50
+    ds = _study_run(T)
+    R0 = _reduce(ds.u, ds.y, T)
     sp = spec("TC6", beta=beta)
     lam = 1.0 / leading_variance(sp)
-    got = estimator._nll_from_stack(R0, inverse_cholesky(sp, T), lam, sigma2, N)[0]
-    want = _mpmath_reduced_nll(R0, 6, beta, lam, sigma2, N)
+    got = estimator._nll_from_stack(R0, inverse_cholesky(sp, T), lam, ds.sigma2, ds.n)[0]
+    want = oracle.nll(sp, R0, 1.0, ds.sigma2, ds.n)
     assert abs(float((got - want) / want)) <= rtol
 
 
@@ -515,18 +495,35 @@ def test_tc6_unit_likelihood_matches_mpmath(beta):
     # the data of test_tc6_qr_likelihood_matches_mpmath; the tuner's core
     # needs no trailing corner, so it holds where the factor is refused too
     # (beta = 0.99; measured: at most 6.3e-16)
-    rng = simulation._run_rng(0, 1)
-    system = simulation.sample_impulse_response(1, rng, T=50)
-    u = simulation.generate_input(500, 0.2, rng)
-    y, _ = simulation.simulate_output(system, u, 1.0, rng)
     T = 50
-    ds = Dataset(u, y)
-    sigma2 = estimator._default_sigma2(ds, T)
-    like = _likelihood("TC6", Dataset(u, y, sigma2=sigma2), T=T)
-    got = like.evaluate([1.0, beta])[0]
-    want = _mpmath_reduced_nll(_reduce(u, y, T), 6, beta,
-                               1.0 / leading_variance(spec("TC6", beta=beta)), sigma2, len(y))
+    ds = _study_run(T)
+    got = _likelihood("TC6", ds, T=T).evaluate([1.0, beta])[0]
+    want = oracle.nll(spec("TC6", beta=beta), _reduce(ds.u, ds.y, T), 1.0, ds.sigma2, ds.n)
     assert abs(float((got - want) / want)) <= 1e-13
+
+
+@pytest.mark.parametrize("name", [*FITTED_FAMILIES, "HF2", "HC3"])
+def test_unit_likelihood_matches_mpmath_across_the_box(name):
+    # the tuner's core against the oracle over the box, decay 1e-3 .. 0.999,
+    # alpha 1e-6 .. 1 - 1e-6 and lam 1e-4 .. 1e4, to the rounding the core
+    # meets: eps |NLL| for the sums, T cond2(S) eps for the Cholesky of S,
+    # and eps lam sum |P o K~| for the rounding of the kernel's entries, which
+    # moves the NLL by lam sum P o dK~.  The first two alone do not hold: at
+    # HC3, lam = 1e4, beta = 0.999, alpha = 1e-6 the error is 161 eps (|NLL|
+    # + T cond2(S)) (measured: at most 0.68 eps times the whole scale)
+    T = 12
+    ds = _study_run(T)
+    R0 = _reduce(ds.u, ds.y, T)
+    like = _likelihood(name, ds, T=T)
+    alphas = [[1e-6], [0.5], [1 - 1e-6]] if "alpha" in like.transform.names else [[]]
+    for decay, alpha, lam in itertools.product([1e-3, 0.5, 0.9, 0.999], alphas, [1e-4, 1, 1e4]):
+        got, sp, K, C, v = like.evaluate([lam, decay, *alpha])
+        V = solve_triangular(C, like.R, lower=True)
+        w = V.T @ v
+        P = V.T @ V - np.outer(w, w)
+        scale = abs(got) + T * np.linalg.cond(C) ** 2 + lam * np.abs(P * K).sum()
+        err = abs(got - float(oracle.nll(sp, R0, lam, ds.sigma2, ds.n)))
+        assert err <= 8 * np.finfo(float).eps * scale, (sp, lam, err / scale)
 
 
 @pytest.mark.parametrize("name", ["TC3", "DC3"])

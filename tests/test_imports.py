@@ -3,7 +3,8 @@
 Importing every stablekern module loads numpy, ``scipy.linalg`` and
 ``scipy.special`` only, and a first kernel and a first fit load nothing
 more: ``scipy.signal`` (which pulls in ``scipy.stats``) is not needed, and
-the tuner's BFGS is the library's own, not ``scipy.optimize``.
+the tuner's BFGS is the library's own, not ``scipy.optimize``.  The test
+suite's mpmath reference, ``oracle.py``, imports without mpmath.
 """
 
 import json
@@ -44,3 +45,28 @@ def test_library_imports_and_a_first_fit_stop_at_the_floor():
     assert done.returncode == 0, done.stderr
     seen = json.loads(done.stdout.strip().splitlines()[-1])
     assert seen["import"] == [] and seen["kernel"] == [] and seen["fit"] == []
+
+
+_NO_MPMATH = """
+import sys
+sys.modules["mpmath"] = None
+import pytest
+import oracle
+from stablekern.kernels import KernelSpec
+try:
+    oracle.kernel(KernelSpec("TC", beta=0.5), 3)
+except pytest.skip.Exception:
+    print("skipped")
+"""
+
+
+def test_oracle_imports_without_mpmath():
+    # mpmath is imported inside the oracle's functions, so every test module
+    # that imports it still collects without mpmath, and each call skips
+    src = str(Path(stablekern.__file__).resolve().parents[1])
+    tests = str(Path(__file__).resolve().parent)
+    done = subprocess.run([sys.executable, "-c", _NO_MPMATH], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=os.pathsep.join([src, tests])),
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "skipped"

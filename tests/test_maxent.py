@@ -311,6 +311,26 @@ def test_band_spec_csv_rejects_conflicts_and_gaps():
     with pytest.raises(ParameterError):
         # T = 3 with bandwidth 1 but the (2, 3) entry missing
         BandSpec.from_csv(io.StringIO("1,1,1.0\n2,2,1.0\n3,3,1.0\n1,2,0.5\n"))
+    with pytest.raises(ParameterError, match="diagonal 1 incomplete"):
+        # as many rows as entries, but (1, 2) twice and (2, 3) missing
+        BandSpec.from_csv(io.StringIO("1,1,1.0\n2,2,1.0\n3,3,1.0\n1,2,0.5\n1,2,0.5\n"))
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [("nan,1,1.0\n1,2,0.5\n", r"row 1: indices \(nan, 1\) are not integers"),
+     ("1,1,1.0\n2,2,1.0\n1.7,2,0.5\n", r"row 3: indices \(1.7, 2\) are not integers"),
+     ("0,1,1.0\n1,1,1.0\n", r"row 1: indices \(0, 1\) are not integers"),
+     ("1,1,1.0\n2,2,1.0\n1,2,inf\n", "row 3: value inf is not finite"),
+     ("1,1,1.0\n1e9,1e9,1.0\n", "2 rows for the 1000000000 entries")],
+    ids=["nan-index", "fractional-index", "zero-index", "inf-value", "huge-index"],
+)
+def test_band_spec_csv_refuses_bad_indices_and_values(text, message):
+    # these once raised numpy's "Maximum allowed dimension exceeded" (nan),
+    # read 1.7 as 1, wrapped index 0 to the last column, or were reported as
+    # an incomplete diagonal (inf); a huge index would size the storage
+    with pytest.raises(ParameterError, match=f"band CSV.*{message}"):
+        BandSpec.from_csv(io.StringIO(text))
 
 
 def test_band_spec_csv_names_a_cell_that_is_not_a_number():
